@@ -253,26 +253,26 @@ def _run(args, cfg):
         if isinstance(Fd, DeltaTrain):
             from .lpspace import pair_delta_train
 
-            rows.append(("pair", pair_delta_train(Fd, Multiplier(g, q)), 0.0))
+            rows.append(("pair", pair_delta_train(Fd, Multiplier(g, q, cfg=cfg)), 0.0))
         elif args.n > 1:
             F = Fd.F if isinstance(Fd, PrimitiveDistribution) else Fd
             f = NthDistribution(F, args.p, args.n)
-            rows.append(("pair", pair_n(f, IteratedMultiplier(g, q, args.n)), 0.0))
+            rows.append(("pair", pair_n(f, IteratedMultiplier(g, q, args.n, cfg=cfg), cfg), 0.0))
         else:
             F = Fd.F if isinstance(Fd, PrimitiveDistribution) else Fd
             f = PrimitiveDistribution(F, args.p, cfg=cfg)
-            rows.append(("pair", pair(f, Multiplier(g, q)), 0.0))
+            rows.append(("pair", pair(f, Multiplier(g, q, cfg=cfg), cfg=cfg), 0.0))
     elif cmd == "dualnorm":
         f = PrimitiveDistribution(_expr_arg(args.f), args.p, cfg=cfg)
-        rows.append(("dualnorm", dual_norm(f), 0.0))
+        rows.append(("dualnorm", dual_norm(f, cfg=cfg), 0.0))
     elif cmd == "reconstruct":
         f = PrimitiveDistribution(_expr_arg(args.F), args.p, cfg=cfg)
         for n in _floats(args.ns):
-            rows.append((f"F_{n:g}({args.x:g})", reconstruct(f, args.x, n), 0.0))
+            rows.append((f"F_{n:g}({args.x:g})", reconstruct(f, args.x, n, cfg=cfg), 0.0))
     elif cmd == "steps":
         f = PrimitiveDistribution(_expr_arg(args.F), args.p, cfg=cfg)
         for n in _floats(args.ns):
-            approx = step_approximate(f, int(n))
+            approx = step_approximate(f, int(n), cfg=cfg)
             rows.append((f"step_error_n={int(n)}", approx.error, 0.0))
     elif cmd == "conv":
         f = PrimitiveDistribution(_expr_arg(args.F), args.p, cfg=cfg)

@@ -3,7 +3,8 @@
 * f * G (distribution with a multiplier): a bounded function, evaluated
   pointwise as integral of F(x-y) g(y) dy.
 * f * g (distribution with an L^q function, Young exponents): an element
-  of L'^r whose primitive is F * g, carried as a sampled spline.
+  of L'^r whose primitive is F * g, carried as a sampled spline (with
+  direct quadrature in unbounded tails).
 * f `star` g (both in L'^1): an element of L'^1 with primitive F * G; the
   product under which L'^1 is a Banach algebra.
 """
@@ -13,11 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ExponentError, LprimError
-from .expr import FunctionExpr
+from .expr import FunctionExpr, decay_add
 from .lpspace import PrimitiveDistribution, conjugate, _config_for
 from .parser import parse_expr
-from .quadrature import DEFAULT_CONFIG, effective_radius, integrate_line, lp_norm
+from .quadrature import (DEFAULT_CONFIG, ConvolutionValues, effective_radius, integrate_line,
+                         lp_norm)
 from .sampling import sample_function, sampled_expr
 
 
@@ -38,7 +42,7 @@ def conv_multiplier(f, G, x, cfg=None):
     if not math.isclose(G.q, q, rel_tol=1e-12):
         raise ExponentError(f"multiplier exponent {G.q} is not conjugate to p={f.p}")
     cfg = _config_for(f.F, cfg, f.osc_wavelength)
-    return integrate_line(reflect_about(f.F, float(x)) * G.g, cfg).value
+    return ConvolutionValues(f.F, G.g, cfg, "convolution").at(x)
 
 
 @dataclass(frozen=True)
@@ -62,25 +66,29 @@ def _radius(F):
 
 
 def _conv_primitive(F, g, cfg, tol):
-    """F * g as a sampled spline FunctionExpr (plus its sampling error)."""
+    """F * g as a FunctionExpr, plus its sampling error.
+
+    The product is sampled as a spline on [lo, hi]: the sum of the supports,
+    or |x| <= rF + rg when a factor has unbounded support.  In that case
+    values outside [lo, hi] come from direct quadrature and the tails
+    decay like the weaker of F and g.  The sampling error adds the largest
+    error estimate of the sampled integrals to the spline's.
+    """
     rF, rg = _radius(F), _radius(g)
-    if F.support is not None and g.support is not None:
+    compact = F.support is not None and g.support is not None
+    if compact:
         lo = F.support[0] + g.support[0]
         hi = F.support[1] + g.support[1]
-        compact = True
     else:
         lo, hi = -(rF + rg), rF + rg
-        compact = False
     feats_F = [p for p in F.feature_points() if math.isfinite(p)]
     feats_g = [p for p in g.feature_points() if math.isfinite(p)]
     kinks = sorted({a + b for a in feats_F for b in feats_g})
-
-    def h(x):
-        return integrate_line(reflect_about(F, x) * g, cfg).value
-
+    h = ConvolutionValues(F, g, cfg, "convolution")
     fn, err = sample_function(h, lo, hi, breakpoints=kinks, tol=tol)
-    expr = sampled_expr(fn, lo, hi, kinks=kinks, name="conv")
-    return expr, err, compact
+    H = sampled_expr(fn, lo, hi, kinks=kinks, name="conv", outside=None if compact else h,
+                     decay=decay_add(F.decay, g.decay))
+    return H, err + h.max_err
 
 
 def conv_lq(f, g, r, cfg=None, tol=1e-9):
@@ -108,7 +116,7 @@ def conv_lq(f, g, r, cfg=None, tol=1e-9):
             PrimitiveDistribution(zero, r, _norm=0.0),
             {"young_bound": 0.0, "cauchy_tail": [], "density": lambda x: 0.0},
         )
-    H, err, _ = _conv_primitive(f.F, g, cfg, tol)
+    H, err = _conv_primitive(f.F, g, cfg, tol)
     dist = PrimitiveDistribution(H, r)
 
     # Cauchy tails of the truncate-and-smooth sequence (logistic window)
@@ -124,12 +132,7 @@ def conv_lq(f, g, r, cfg=None, tol=1e-9):
         tails.append((n, m, f.norm * dq))
 
     gp = _try_diff(g)
-    if gp is not None:
-        density = lambda x, F=f.F, gp=gp: integrate_line(
-            reflect_about(F, x) * gp, cfg
-        ).value
-    else:
-        density = None
+    density = None if gp is None else ConvolutionValues(f.F, gp, cfg, "convolution").at
     diags = {
         "young_bound": f.norm * norm_g,
         "cauchy_tail": tails,
@@ -140,6 +143,16 @@ def conv_lq(f, g, r, cfg=None, tol=1e-9):
 
 
 def _try_diff(e):
+    """The a.e. derivative of ``e``, or None when there is none or when
+    ``e`` jumps at a kink or a support end: the a.e. derivative then misses
+    the point mass of the jump, and a density built on it would be wrong."""
+    for k in e.feature_points():
+        if k in e.singularities or not math.isfinite(k):
+            continue
+        d = 1e-12 * max(1.0, abs(k))
+        left, right = e.values(np.array([k - d, k + d]))
+        if abs(left - right) > 1e-6 * (1.0 + max(abs(left), abs(right))):
+            return None
     try:
         return e.diff()
     except LprimError:
@@ -155,14 +168,10 @@ def star(f, g, cfg=None, tol=5e-10):
         zero = parse_expr("0*indicator(0,1)")
         return ConvolutionResult("star", PrimitiveDistribution(zero, 1.0, _norm=0.0),
                                  {"density": lambda x: 0.0})
-    H, err, _ = _conv_primitive(f.F, g.F, cfg, tol)
+    H, err = _conv_primitive(f.F, g.F, cfg, tol)
     dist = PrimitiveDistribution(H, 1.0)
     Gp = _try_diff(g.F)
-    density = None
-    if Gp is not None:
-        density = lambda x, F=f.F, Gp=Gp: integrate_line(
-            reflect_about(F, x) * Gp, cfg
-        ).value
+    density = None if Gp is None else ConvolutionValues(f.F, Gp, cfg, "convolution").at
     diags = {
         "algebra_bound": f.norm * g.norm,
         "sampling_error": err,
@@ -182,7 +191,7 @@ def approx_identity(F, g, t_grid, p, cfg=None, tol=1e-8):
     out = []
     for t in t_grid:
         Ft = F.dilate(float(t))
-        H, _, _ = _conv_primitive(g, Ft, cfg, tol)
+        H, _ = _conv_primitive(g, Ft, cfg, tol)
         out.append(lp_norm(H - g * a, p, cfg))
     return out
 

@@ -11,12 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ExponentError, IntegrabilityError, LprimError
-from .expr import FunctionExpr
 from .parser import parse_expr
-from .quadrature import DEFAULT_CONFIG, effective_radius, integrate_line, lp_norm
+from .quadrature import DEFAULT_CONFIG, ConvolutionValues, effective_radius, lp_norm
 from .sampling import sample_function, sampled_expr
 
 
@@ -58,29 +55,15 @@ def _kernel_n(y, n):
     return kern
 
 
-def _extension_point_fn(F, y, n, cfg):
-    """x -> (d^n/dx^n) (Phi_y * F)(x), each value one line quadrature."""
-    kern = _kernel_n(y, n)
-
-    def u(x):
-        x = float(x)
-        # the integrand in xi is F(xi) * Phi^(n)(x - xi)
-        shifted = FunctionExpr(
-            kern.root.subst_affine(-1.0, x),
-            singularities=tuple(sorted(x - s for s in kern.singularities)),
-            kinks=tuple(sorted(x - k for k in kern.kinks)),
-            support=None,
-            decay=kern.decay,
-        )
-        return integrate_line(F * shifted, cfg).value
-
-    return u
+def _extension_values(F, y, n, cfg):
+    """xs -> (d^n/dx^n) (Phi_y * F)(xs), one integral family per call."""
+    return ConvolutionValues(_kernel_n(y, n), F, cfg, "poisson")
 
 
 def harmonic_extension(F, pt, cfg=None):
     """U_y(x) = (Phi_y * F)(x) for F in L^p."""
     cfg = cfg or DEFAULT_CONFIG
-    return _extension_point_fn(F, pt.y, 0, cfg)(pt.x)
+    return _extension_values(F, pt.y, 0, cfg).at(pt.x)
 
 
 def extension_n(f, pt, cfg=None):
@@ -90,7 +73,7 @@ def extension_n(f, pt, cfg=None):
     F = f.F if hasattr(f, "F") else f
     if not 0 <= n <= 4:
         raise ExponentError("extension_n supports orders up to 4")
-    return _extension_point_fn(F, pt.y, n, cfg)(pt.x)
+    return _extension_values(F, pt.y, n, cfg).at(pt.x)
 
 
 def harmonicity_residual(f, pt, h, cfg=None):
@@ -104,7 +87,7 @@ def harmonicity_residual(f, pt, h, cfg=None):
     F = f.F if hasattr(f, "F") else f
 
     def u(x, y):
-        return _extension_point_fn(F, y, n, cfg)(x)
+        return _extension_values(F, y, n, cfg).at(x)
 
     x, y = pt.x, pt.y
     lap = (
@@ -133,23 +116,13 @@ def extension_expr(F, y, n=0, cfg=None, spline_tol=1e-7):
     y = float(y)
     if y <= 0:
         raise LprimError("extension needs y > 0")
-    point = _extension_point_fn(F, y, n, cfg)
+    U = _extension_values(F, y, n, cfg)
     R = effective_radius(F, minimum=8.0) + 4.0 * y + 4.0
     spline, err = sample_function(
-        point, -R, R, tol=spline_tol, min_spacing=y / 4.0, max_points=65536
+        U, -R, R, tol=spline_tol, min_spacing=y / 4.0, max_points=65536
     )
-
-    def values(xs):
-        xs = np.asarray(xs, dtype=float)
-        out = spline(xs)
-        outside = (xs < -R) | (xs > R)
-        for i in np.nonzero(outside)[0]:
-            out[i] = point(xs[i])
-        return out
-
-    core = sampled_expr(values, -R, R, name=f"poisson_U[y={y:g}]")
-    return FunctionExpr(core.root, singularities=(), kinks=(-R, R),
-                        support=None, decay=_tail_decay(F))
+    return sampled_expr(spline, -R, R, name=f"poisson_U[y={y:g}]", outside=U,
+                        decay=_tail_decay(F))
 
 
 def boundary_convergence(f, y_grid, cfg=None):

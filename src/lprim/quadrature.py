@@ -6,46 +6,52 @@ singularity and kink; panels adjacent to a hard singularity switch to a
 tanh-sinh (double-exponential) rule, which absorbs any integrable endpoint
 power/log singularity.  Whole-line integrals truncate with doubling shells
 whose tails are certified through the integrand's decay class.
+
+One engine serves every integral: a family of integrals (a convolution
+sampled at many x, say) shares one panel pool, each integral keeping its
+own split points and stopping rule, and a single integral is the family
+with one owner.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, IntegrabilityError, LprimError
-from .expr import FunctionExpr
+from .expr import decay_mul, growth
 
-# -- 7/15 Gauss-Kronrod pair (QUADPACK constants) ---------------------------
+# -- 7/15 Gauss-Kronrod pair (full-precision QUADPACK constants) ----------
 
 _XGK_HALF = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
     0.0,
 )
 _WGK_HALF = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
 )
 _WG_HALF = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
 )
 
 XGK = np.array([-x for x in _XGK_HALF[:-1]] + [0.0] + list(reversed(_XGK_HALF[:-1])))
@@ -115,77 +121,187 @@ DEFAULT_CONFIG = QuadConfig()
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod batch adaptivity
+# integral families
+#
+# Every integral is one owner of a family: owner i integrates fn(i, y) dy
+# with its own interval, split points, support and stopping rule, and the
+# owners still active share each kernel evaluation.  A single integral is
+# the family with one owner.
+
+_MAX_EVAL_POINTS = 1 << 14  # points per kernel evaluation: their arrays stay in cache
 
 
-def _gk_eval(f, panels):
-    """Kronrod/Gauss estimates per panel. panels: array (m, 2)."""
-    a = panels[:, 0:1]
-    b = panels[:, 1:2]
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    xs = c + h * XGK[None, :]
-    vals = f.values(xs.ravel()).reshape(xs.shape)
+@dataclass(frozen=True)
+class FamilyResult:
+    """Per-owner values, error estimates and convergence flags."""
+
+    value: np.ndarray
+    err_est: np.ndarray
+    converged: np.ndarray
+
+    def __add__(self, other):
+        return FamilyResult(
+            self.value + other.value,
+            self.err_est + other.err_est,
+            self.converged & other.converged,
+        )
+
+    def __getitem__(self, i):
+        return QuadResult(float(self.value[i]), float(self.err_est[i]), bool(self.converged[i]))
+
+    def owners(self, owner, n):
+        """Sum the entries into n owners: entry j belongs to owner[j]."""
+        return FamilyResult(
+            np.bincount(owner, self.value, n),
+            np.bincount(owner, self.err_est, n),
+            np.bincount(owner, ~self.converged, n) == 0,
+        )
+
+
+@dataclass(frozen=True)
+class _Family:
+    """Integrands fn(i, y) with per-owner metadata.
+
+    ``sing`` and ``cuts`` are (owners, m) arrays: the declared singular
+    points, and those together with every other point to split at.  ``support``
+    is None or a pair of per-owner arrays; ``radius`` is the effective
+    radius of each owner; ``decay`` is shared by all owners."""
+
+    fn: object
+    sing: np.ndarray
+    cuts: np.ndarray
+    radius: np.ndarray
+    support: tuple | None
+    decay: tuple
+
+
+def _single(f, extra_splits=(), line=False):
+    """The one-owner family of the FunctionExpr ``f``; the radius and
+    support are only needed on the line."""
+    sing = tuple(f.singularities)
+    support = None
+    if line and f.support is not None:
+        support = (np.array([f.support[0]]), np.array([f.support[1]]))
+    return _Family(
+        lambda owner, ys: f.values(ys),
+        np.array([sing], dtype=float),
+        np.array([sing + tuple(f.kinks) + tuple(extra_splits)], dtype=float),
+        np.array([effective_radius(f)]) if line else None,
+        support,
+        f.decay,
+    )
+
+
+def _in_chunks(fn, per_row, *rows):
+    """fn(*rows) on slices of the row arrays, so that one call evaluates at
+    most _MAX_EVAL_POINTS points (per_row points a row, one row at least);
+    fn returns a tuple of per-row arrays, which are joined."""
+    step = max(1, _MAX_EVAL_POINTS // per_row)
+    if len(rows[0]) <= step:
+        return fn(*rows)
+    parts = [fn(*(r[i:i + step] for r in rows)) for i in range(0, len(rows[0]), step)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Kronrod panel pool
+
+
+def _gk_eval(fn, owner, lo, hi):
+    """Kronrod estimate and |Kronrod - Gauss| per panel [lo, hi]."""
+    return _in_chunks(lambda o, l, h: _gk_panels(fn, o, l, h), XGK.size, owner, lo, hi)
+
+
+def _gk_panels(fn, owner, lo, hi):
+    h = 0.5 * (hi - lo)
+    ys = (0.5 * (lo + hi))[:, None] + h[:, None] * XGK
+    vals = np.asarray(fn(np.repeat(owner, XGK.size), ys.ravel()), dtype=float).reshape(ys.shape)
     bad = ~np.isfinite(vals)
-    if bad.any():
+    poisoned = bad.any()
+    if poisoned:
+        vals[bad] = 0.0
+    k = (vals @ WGK) * h
+    err = np.abs(k - (vals @ WG) * h)
+    if poisoned:
         # a non-finite sample poisons its panel: force refinement there
-        vals = np.where(bad, 0.0, vals)
-    k = (vals * WGK[None, :]).sum(axis=1) * h[:, 0]
-    g = (vals * WG[None, :]).sum(axis=1) * h[:, 0]
-    err = np.abs(k - g)
-    err[bad.any(axis=1)] = np.inf
+        err[bad.any(axis=1)] = np.inf
     return k, err
 
 
-def _adaptive_gk(f, a, b, cfg):
-    """Globally adaptive GK on [a, b] with no interior features."""
+# panel pool columns
+_LO, _HI, _K, _ERR, _SHARE, _DEPTH = range(6)
+
+
+def _adaptive_gk(fn, owner, a, b, cfg):
+    """Globally adaptive GK on the intervals [a[j], b[j]], one panel pool.
+
+    Interval j integrates fn(owner[j], .) and keeps its own stopping rule:
+    it is done when its summed error is within max(abs_tol, rel_tol * |its
+    total|), when no panel exceeds that tolerance's share for its width,
+    or when refining would pass _MAX_PANELS panels; no panel goes deeper
+    than max_depth.  Done intervals leave the pool.
+    """
+    n = a.size
     width = b - a
-    if width <= 0:
-        return QuadResult(0.0, 0.0, True)
-    cap = width
+    value = np.zeros(n)
+    err_total = np.zeros(n)
+    seg = np.nonzero(width > 0)[0]
+    lo, hi, share = a[seg], b[seg], 1.0
     if cfg.osc_wavelength is not None:
-        cap = min(cap, 0.5 * cfg.osc_wavelength)
-    n0 = max(1, min(int(math.ceil(width / cap)), _MAX_PANELS // 2))
-    edges = np.linspace(a, b, n0 + 1)
-    panels = np.column_stack([edges[:-1], edges[1:]])
-    depth = np.zeros(n0, dtype=int)
-    k, err = _gk_eval(f, panels)
+        # at most half a wavelength a panel
+        count = np.clip(np.ceil(width[seg] / (0.5 * cfg.osc_wavelength)),
+                        1, _MAX_PANELS // 2).astype(int)
+        seg = np.repeat(seg, count)
+        i = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
+        count = np.repeat(count, count)
+        step = width[seg] / count
+        lo = a[seg] + i * step
+        hi = np.where(i + 1 == count, b[seg], lo + step)
+        share = 1.0 / count
+    pool = np.empty((seg.size, 6))
+    pool[:, _LO], pool[:, _HI], pool[:, _SHARE], pool[:, _DEPTH] = lo, hi, share, 0.0
+    pool[:, _K], pool[:, _ERR] = _gk_eval(fn, owner[seg], lo, hi)
+    panels = np.bincount(seg, minlength=n)
 
-    for _ in range(cfg.max_depth):
-        total = math.fsum(k.tolist())
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        local_tol = tol * (panels[:, 1] - panels[:, 0]) / width
-        need = (err > np.maximum(local_tol, 1e-300)) & (depth < cfg.max_depth)
-        if math.fsum(err.tolist()) <= tol or not need.any():
-            break
-        if len(panels) + need.sum() > _MAX_PANELS:
-            break
-        keep_p, keep_k, keep_e, keep_d = (
-            panels[~need],
-            k[~need],
-            err[~need],
-            depth[~need],
-        )
-        sp = panels[need]
-        mid = 0.5 * (sp[:, 0] + sp[:, 1])
-        new_p = np.concatenate(
-            [
-                np.column_stack([sp[:, 0], mid]),
-                np.column_stack([mid, sp[:, 1]]),
-            ]
-        )
-        new_d = np.concatenate([depth[need] + 1, depth[need] + 1])
-        new_k, new_e = _gk_eval(f, new_p)
-        panels = np.concatenate([keep_p, new_p])
-        k = np.concatenate([keep_k, new_k])
-        err = np.concatenate([keep_e, new_e])
-        depth = np.concatenate([keep_d, new_d])
+    for rnd in range(cfg.max_depth + 1):
+        total = np.bincount(seg, pool[:, _K], n)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        done = np.bincount(seg, pool[:, _ERR], n) <= tol
+        last = rnd == cfg.max_depth or done.all()
+        if not last:
+            need = ((pool[:, _ERR] > tol[seg] * pool[:, _SHARE])
+                    & (pool[:, _DEPTH] < cfg.max_depth))
+            n_need = np.bincount(seg[need], minlength=n)
+            done |= (n_need == 0) | (panels + n_need > _MAX_PANELS)
+            last = done.all()
+        if last or done.any():
+            # done intervals leave the pool; a non-finite panel error counts 1
+            out = slice(None) if last else done[seg]
+            err = pool[out, _ERR]
+            value += total if last else np.bincount(seg[out], pool[out, _K], n)
+            err_total += np.bincount(seg[out], np.where(np.isfinite(err), err, 1.0), n)
+            if last:
+                break
+            keep = ~out
+            seg, pool, need = seg[keep], pool[keep], need[keep]
+        # split every panel that needs it in halves
+        half = pool[need]
+        m = half.shape[0]
+        half = np.concatenate([half, half])
+        mid = 0.5 * (half[:m, _LO] + half[:m, _HI])
+        half[:m, _HI] = mid
+        half[m:, _LO] = mid
+        half[:, _SHARE] *= 0.5
+        half[:, _DEPTH] += 1.0
+        new_seg = np.tile(seg[need], 2)
+        half[:, _K], half[:, _ERR] = _gk_eval(fn, owner[new_seg], half[:, _LO], half[:, _HI])
+        panels += n_need
+        keep = ~need
+        seg = np.concatenate([seg[keep], new_seg])
+        pool = np.concatenate([pool[keep], half])
 
-    order = np.argsort(panels[:, 0], kind="stable")
-    value = math.fsum(k[order].tolist())
-    err_total = math.fsum(np.where(np.isfinite(err), err, 1.0)[order].tolist())
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return QuadResult(value, err_total, err_total <= tol)
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+    return FamilyResult(value, err_total, err_total <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -195,88 +311,270 @@ _TS_TMAX = 6.5
 _TS_MAX_LEVEL = 11
 
 
-def _tanh_sinh(f, a, b, cfg):
-    """Double-exponential rule on (a, b); endpoints never sampled."""
-    s = 0.5 * (b - a)
-    if s <= 0:
-        return QuadResult(0.0, 0.0, True)
-    total = 0.0
-    prev = None
-    prev_delta = None
-    estimates = []
+@functools.lru_cache(maxsize=_TS_MAX_LEVEL + 1)
+def _ts_nodes(level):
+    """Step, abscissae t, weights and endpoint offsets 1 +- tanh(u) of one level."""
+    h = 2.0 ** (-level)
+    kmax = int(math.floor(_TS_TMAX / h))
+    ks = np.arange(-kmax, kmax + 1)
+    if level > 0:
+        ks = ks[ks % 2 != 0]
+    ts = ks * h
+    with np.errstate(over="ignore"):
+        u = 0.5 * math.pi * np.sinh(ts)
+        w = 0.5 * math.pi * np.cosh(ts) / np.cosh(u) ** 2
+        # stable offsets from each endpoint: 1 +- tanh(u)
+        off_lo = 2.0 / (1.0 + np.exp(-2.0 * np.clip(u, -700, 700)))
+        off_hi = 2.0 / (1.0 + np.exp(2.0 * np.clip(u, -700, 700)))
+    return h, ts, w, np.where(ts <= 0, off_lo, -off_hi)
+
+
+def _ts_level(fn, owner, a, b, level):
+    """One level's sums on the intervals: (weighted sum, outer-band sum,
+    whether any node fell inside)."""
+    h, ts, w, off = _ts_nodes(level)
+
+    def sums(owner, a, b):
+        s = 0.5 * (b - a)
+        xs = np.where(ts <= 0, a[:, None], b[:, None]) + s[:, None] * off
+        ok = (xs > a[:, None]) & (xs < b[:, None]) & (w > 0)
+        vals = np.zeros(xs.shape)
+        vals[ok] = fn(np.broadcast_to(owner[:, None], xs.shape)[ok], xs[ok])
+        vals = np.where(np.isfinite(vals), vals, 0.0) * w
+        band = np.abs(ts) >= _TS_TMAX - 0.75
+        return (s * h * vals.sum(axis=1), s * h * np.abs(vals[:, band]).sum(axis=1),
+                ok.any(axis=1))
+
+    return _in_chunks(sums, ts.size, owner, a, b)
+
+
+def _tanh_sinh(fn, owner, a, b, cfg):
+    """Double-exponential rule on the intervals (a[j], b[j]); endpoints
+    never sampled.  Intervals are refined level by level together and
+    leave when their level-to-level change is within tolerance."""
+    n = a.size
+    value = np.zeros(n)
+    err = np.zeros(n)
+    conv = np.ones(n, dtype=bool)
+    total = np.zeros(n)
+    prev_delta = np.full(n, np.nan)
+    first = np.full(n, np.nan)
+    last3 = np.full((n, 3), np.nan)  # the three latest estimates, newest last
+    count = np.zeros(n, dtype=int)
+    act = np.nonzero(b > a)[0]
     for level in range(_TS_MAX_LEVEL + 1):
-        h = 2.0 ** (-level)
-        kmax = int(math.floor(_TS_TMAX / h))
-        ks = np.arange(-kmax, kmax + 1)
-        if level > 0:
-            ks = ks[ks % 2 != 0]
-        ts = ks * h
-        with np.errstate(over="ignore"):
-            u = 0.5 * math.pi * np.sinh(ts)
-            w = 0.5 * math.pi * np.cosh(ts) / np.cosh(u) ** 2
-            # stable offsets from each endpoint: 1 +- tanh(u)
-            off_lo = 2.0 / (1.0 + np.exp(-2.0 * np.clip(u, -700, 700)))
-            off_hi = 2.0 / (1.0 + np.exp(2.0 * np.clip(u, -700, 700)))
-        left = ts <= 0
-        xs = np.where(left, a + s * off_lo, b - s * off_hi)
-        ok = (xs > a) & (xs < b) & (w > 0)
-        xs = xs[ok]
-        w = w[ok]
-        if xs.size == 0:
-            continue
-        vals = f.values(xs)
-        vals = np.where(np.isfinite(vals), vals, 0.0)
-        contrib = s * h * math.fsum((w * vals).tolist())
+        if act.size == 0:
+            break
+        contrib, outer, has = _ts_level(fn, owner[act], a[act], b[act], level)
         if level == 0:
             # integrable endpoint singularities decay doubly exponentially
             # in the transformed variable; mass left in the outermost band
             # means the integral diverges (e.g. logarithmically)
-            band = np.abs(ts[ok]) >= _TS_TMAX - 0.75
-            outer = s * h * float(np.sum(np.abs(w[band] * vals[band])))
-            if outer > max(1e-7, 1e-5 * abs(contrib)):
+            if np.any(has & (outer > np.maximum(1e-7, 1e-5 * np.abs(contrib)))):
                 raise IntegrabilityError(
                     "endpoint singularity too strong: integrability not certified"
                 )
-            total = contrib
+            est = contrib
         else:
-            total = 0.5 * total + contrib
-        estimates.append(total)
-        if prev is not None:
-            delta = abs(total - prev)
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-            if delta <= tol and level >= 3:
-                return QuadResult(total, delta, True)
-            if (
-                prev_delta is not None
-                and level >= 6
-                and delta > 4.0 * prev_delta
-                and abs(total) > 10.0 * max(1.0, abs(estimates[0]))
-            ):
-                raise IntegrabilityError(
-                    "tanh-sinh refinement diverges: non-integrable singularity"
-                )
-            prev_delta = delta
-        prev = total
-    # did not converge: divergence heuristics
-    if len(estimates) >= 4:
-        tail = [abs(estimates[i + 1] - estimates[i]) for i in range(len(estimates) - 3, len(estimates) - 1)]
-        if tail[1] >= tail[0] and abs(estimates[-1]) > 1e6:
+            est = 0.5 * total[act] + contrib
+        # an interval with no node inside at this level keeps its state
+        upd = act[has]
+        est = est[has]
+        total[upd] = est
+        count[upd] += 1
+        first[upd] = np.where(np.isnan(first[upd]), est, first[upd])
+        last3[upd] = np.column_stack([last3[upd, 1], last3[upd, 2], est])
+        delta = np.abs(est - last3[upd, 1])
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(est))
+        fin = (delta <= tol) & (level >= 3)
+        if level >= 6 and np.any(
+            ~fin
+            & (delta > 4.0 * prev_delta[upd])
+            & (np.abs(est) > 10.0 * np.maximum(1.0, np.abs(first[upd])))
+        ):
             raise IntegrabilityError(
-                "tanh-sinh estimates grow without bound: non-integrable singularity"
+                "tanh-sinh refinement diverges: non-integrable singularity"
             )
-    return QuadResult(total, abs(total - estimates[-2]) if len(estimates) > 1 else np.inf, False)
+        value[upd[fin]] = est[fin]
+        err[upd[fin]] = delta[fin]
+        prev_delta[upd] = delta
+        keep = np.ones(act.size, dtype=bool)
+        keep[np.nonzero(has)[0][fin]] = False
+        act = act[keep]
+    # the rest did not converge: divergence heuristics
+    rest = act
+    steps = np.abs(np.diff(last3[rest], axis=1))
+    if np.any((count[rest] >= 4) & (steps[:, 1] >= steps[:, 0])
+              & (np.abs(last3[rest, 2]) > 1e6)):
+        raise IntegrabilityError(
+            "tanh-sinh estimates grow without bound: non-integrable singularity"
+        )
+    value[rest] = total[rest]
+    err[rest] = np.where(count[rest] > 1, np.abs(total[rest] - last3[rest, 1]), np.inf)
+    conv[rest] = False
+    return FamilyResult(value, err, conv)
+
+
+# ---------------------------------------------------------------------------
+# finite intervals and the line, per family
+
+
+def _integrate(fam, owner, a, b, cfg):
+    """Integral of owner[j]'s integrand over [a[j], b[j]], a <= b, split at
+    its singular points and split points; the pieces next to a singular
+    point take the tanh-sinh rule, all others share one GK pool."""
+    cuts = fam.cuts[owner]
+    inside = (cuts > a[:, None]) & (cuts < b[:, None])
+    piece = None  # the interval of each piece, when some interval is split
+    lo, hi = a, b
+    if inside.any():
+        pts = np.concatenate([a[:, None], np.where(inside, cuts, np.nan), b[:, None]], axis=1)
+        pts.sort(axis=1)  # nan last
+        lo, hi = pts[:, :-1], pts[:, 1:]
+        real = hi > lo  # drops the nan padding and repeated points
+        piece = np.nonzero(real)[0]
+        lo, hi = lo[real], hi[real]
+        owner = owner[piece]
+    if fam.sing.shape[1] == 0:
+        res = _adaptive_gk(fam.fn, owner, lo, hi, cfg)
+    else:
+        sing = fam.sing[owner]
+        singular = ((lo[:, None] == sing) | (hi[:, None] == sing)).any(axis=1)
+        value = np.zeros(lo.size)
+        err = np.zeros(lo.size)
+        conv = np.ones(lo.size, dtype=bool)
+        for mask, rule in ((~singular, _adaptive_gk), (singular, _tanh_sinh)):
+            if mask.any():
+                r = rule(fam.fn, owner[mask], lo[mask], hi[mask], cfg)
+                value[mask], err[mask], conv[mask] = r.value, r.err_est, r.converged
+        res = FamilyResult(value, err, conv)
+    return res if piece is None else res.owners(piece, a.size)
+
+
+def _power_tails(fam, r, cfg):
+    """Both tails beyond |x| = r[i], pulled back to (0, 1] by x = +-r/t."""
+    n = r.size
+    owner = np.tile(np.arange(n), 2)
+    sign = np.repeat([1.0, -1.0], n)
+    rr = r[owner]
+
+    def fn(j, ts):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals = fam.fn(owner[j], sign[j] * rr[j] / ts) * (rr[j] / ts**2)
+        return np.where(np.isfinite(vals), vals, 0.0)
+
+    tails = _tanh_sinh(fn, np.arange(2 * n), np.zeros(2 * n), np.ones(2 * n), cfg)
+    return tails.owners(owner, n)
+
+
+def _periodic_power_tails(fam, r, beta, lam, cfg):
+    """Tails of an oscillatory power-decay integrand.
+
+    For f(x) = P(x) x^(-beta) with P periodic of period lam, the tail over
+    sign*(r, oo) equals the integral over one period of
+    f(x) (x/lam)^beta zeta(beta, x/lam), x = sign*(r + u).  The identity
+    is exact for an exactly-periodic oscillation against an exact power;
+    a doubling cross-check (the tail from r against the shell [r, 2r] plus
+    the tail from 2r) supplies the error estimate.
+    """
+    from scipy.special import zeta
+
+    n = r.size
+    owner = np.tile(np.arange(n), 4)
+    sign = np.tile(np.repeat([1.0, -1.0], n), 2)
+    start = np.concatenate([r, r, 2 * r, 2 * r])
+
+    def fn(j, us):
+        q = (start[j] + us) / lam
+        vals = fam.fn(owner[j], sign[j] * (start[j] + us)) * q**beta * zeta(beta, q)
+        return np.where(np.isfinite(vals), vals, 0.0)
+
+    m = 4 * n
+    t = _adaptive_gk(fn, np.arange(m), np.zeros(m), np.full(m, lam), cfg)
+    near = slice(0, 2 * n)
+    mid = _integrate(fam, owner[near], np.concatenate([r, -2 * r]),
+                     np.concatenate([2 * r, -r]), cfg)
+    t1 = t.value[near]
+    check = np.abs(t1 - (mid.value + t.value[2 * n:]))
+    ok = t.converged[near] & (
+        check <= 10 * np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(t1)))
+    return FamilyResult(t1, t.err_est[near] + check, ok).owners(owner[near], n)
+
+
+def _integrate_line(fam, cfg):
+    """Line integrals of a family; see integrate_line."""
+    n = fam.radius.size
+    every = np.arange(n)
+    if fam.support is not None:
+        lo = np.maximum(fam.support[0], -cfg.truncation_radius)
+        hi = np.maximum(np.minimum(fam.support[1], cfg.truncation_radius), lo)
+        return _integrate(fam, every, lo, hi, cfg)
+
+    kind = fam.decay[0]
+    r = fam.radius.copy()
+    if kind == "power":
+        beta = fam.decay[1]
+        if beta <= 1.0:
+            raise IntegrabilityError(
+                f"power decay beta={beta} <= 1: line integral diverges"
+            )
+        if cfg.osc_wavelength is not None:
+            lam = cfg.osc_wavelength
+            r = lam * np.ceil(np.maximum(r, 64.0) / lam)
+            total = _integrate(fam, every, -r, r, cfg)
+            return total + _periodic_power_tails(fam, r, beta, lam, cfg)
+        return _integrate(fam, every, -r, r, cfg) + _power_tails(fam, r, cfg)
+
+    # gaussian / exponential / none: doubling shells, all active owners at once
+    total = _integrate(fam, every, -r, r, cfg)
+    value, err, conv = total.value, total.err_est, total.converged
+    shell_tol = 0.25 * cfg.abs_tol
+    prev_mass = np.full(n, np.nan)
+    quiet = np.zeros(n, dtype=int)
+    act = every[r < cfg.truncation_radius]
+    conv[r >= cfg.truncation_radius] = False
+    while act.size:
+        ra = r[act]
+        shells = _integrate(fam, np.tile(act, 2), np.concatenate([ra, -2 * ra]),
+                            np.concatenate([2 * ra, -ra]), cfg)
+        side = np.tile(np.arange(act.size), 2)  # right shells, then left
+        mass = np.bincount(side, np.abs(shells.value) + shells.err_est, act.size)
+        shells = shells.owners(side, act.size)
+        value[act] += shells.value
+        err[act] += shells.err_est
+        conv[act] &= shells.converged
+        if kind == "none":
+            # only an identically-zero tail can be certified
+            probe = np.concatenate([np.linspace(1.0, 2.0, 257), np.linspace(-2.0, -1.0, 257)])
+
+            def nonzero(owner, r):
+                vals = fam.fn(np.repeat(owner, probe.size), (r[:, None] * probe).ravel())
+                return (vals.reshape(r.size, probe.size) != 0.0).any(axis=1),
+
+            if np.any(mass != 0.0) or _in_chunks(nonzero, probe.size, act, ra)[0].any():
+                raise ConvergenceError(
+                    "decay class 'none' with nonzero tails: cannot certify convergence"
+                )
+            quiet[act] += 1
+            fin = quiet[act] >= 2
+        else:  # gaussian / exponential
+            small = mass < shell_tol
+            fin = small & (prev_mass[act] >= mass)
+            quiet[act] += small & ~fin
+            fin |= small & (quiet[act] >= 2)
+            err[act[fin]] += 2 * mass[fin]
+        prev_mass[act] = mass
+        r[act] *= 2
+        act = act[~fin]
+        conv[act[r[act] >= cfg.truncation_radius]] = False
+        act = act[r[act] < cfg.truncation_radius]
+    return FamilyResult(value, err, conv)
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 
-
-def _split_points(f, a, b, extra):
-    pts = {a, b}
-    for p in list(f.singularities) + list(f.kinks) + list(extra):
-        if a < p < b:
-            pts.add(float(p))
-    return sorted(pts)
+_ONE = np.zeros(1, dtype=int)
 
 
 def integrate(f, a, b, cfg=None, extra_splits=()):
@@ -287,17 +585,7 @@ def integrate(f, a, b, cfg=None, extra_splits=()):
     if b < a:
         r = integrate(f, b, a, cfg, extra_splits)
         return QuadResult(-r.value, r.err_est, r.converged)
-    if b == a:
-        return QuadResult(0.0, 0.0, True)
-    pts = _split_points(f, a, b, extra_splits)
-    sing = set(f.singularities)
-    total = QuadResult(0.0, 0.0, True)
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if lo in sing or hi in sing:
-            total = total + _tanh_sinh(f, lo, hi, cfg)
-        else:
-            total = total + _adaptive_gk(f, lo, hi, cfg)
-    return total
+    return _integrate(_single(f, extra_splits), _ONE, np.array([a]), np.array([b]), cfg)[0]
 
 
 def effective_radius(f, minimum=8.0):
@@ -308,66 +596,6 @@ def effective_radius(f, minimum=8.0):
     return r
 
 
-class _TailMap:
-    """The tail integral over sign*(r, oo) pulled back to (0, 1] by x = r/t."""
-
-    def __init__(self, f, r, sign):
-        self.f = f
-        self.r = r
-        self.sign = sign
-
-    def values(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            xs = self.sign * self.r / ts
-            vals = self.f.values(xs) * (self.r / ts**2)
-        return np.where(np.isfinite(vals), vals, 0.0)
-
-
-def _power_tail(f, r, sign, cfg):
-    return _tanh_sinh(_TailMap(f, r, sign), 0.0, 1.0, cfg)
-
-
-class _ZetaTail:
-    """Integrand of the periodic power tail.
-
-    For f(x) = P(x) x^(-beta) with P periodic of period lam,
-    the tail over sign*(r, oo) equals the integral over one period of
-    f(x) (x/lam)^beta zeta(beta, x/lam), x = sign*(r + u).  The identity
-    is exact for an exactly-periodic oscillation against an exact power.
-    """
-
-    def __init__(self, f, r, sign, beta, lam):
-        self.f = f
-        self.r = r
-        self.sign = sign
-        self.beta = beta
-        self.lam = lam
-
-    def values(self, us):
-        from scipy.special import zeta
-
-        us = np.asarray(us, dtype=float)
-        xs = self.sign * (self.r + us)
-        q = (self.r + us) / self.lam
-        vals = self.f.values(xs) * q**self.beta * zeta(self.beta, q)
-        return np.where(np.isfinite(vals), vals, 0.0)
-
-
-def _periodic_power_tail(f, r, sign, beta, lam, cfg):
-    """Tail of an oscillatory power-decay integrand, with a doubling
-    cross-check supplying the error estimate."""
-    def one(r0):
-        return _adaptive_gk(_ZetaTail(f, r0, sign, beta, lam), 0.0, lam, cfg)
-
-    t1 = one(r)
-    mid = integrate(f, min(sign * r, sign * (2 * r)), max(sign * r, sign * (2 * r)), cfg)
-    t2 = one(2 * r)
-    check = abs(t1.value - (mid.value + t2.value))
-    return QuadResult(t1.value, t1.err_est + check,
-                      t1.converged and check <= 10 * max(cfg.abs_tol, cfg.rel_tol * abs(t1.value)))
-
-
 def integrate_line(f, cfg=None, extra_splits=()):
     """Integrate ``f`` over the whole real line.
 
@@ -375,72 +603,80 @@ def integrate_line(f, cfg=None, extra_splits=()):
     is truncated, with doubling shells certifying the tails through the
     integrand's decay class; decay 'none' with nonzero tails is refused.
     """
+    return _integrate_line(_single(f, extra_splits, line=True), cfg or DEFAULT_CONFIG)[0]
+
+
+def _shifted(points, xs):
+    """Row i holds x_i - p for every p in ``points``."""
+    return xs[:, None] - np.asarray(points, dtype=float)[None, :]
+
+
+def _fixed(points, n):
+    """n equal rows holding ``points``."""
+    return np.broadcast_to(np.asarray(points, dtype=float)[None, :], (n, len(points)))
+
+
+def convolve(K, g, xs, cfg=None):
+    """(K * g)(x) = integral of K(x - y) g(y) dy for every x in ``xs``,
+    as one integral family.  Each owner's split points and support are
+    K's singularities, kinks and support shifted by its x, with g's."""
     cfg = cfg or DEFAULT_CONFIG
-    if f.support is not None:
-        lo = max(f.support[0], -cfg.truncation_radius)
-        hi = min(f.support[1], cfg.truncation_radius)
-        return integrate(f, lo, hi, cfg, extra_splits)
+    xs = np.asarray(xs, dtype=float).ravel()
+    n = xs.size
+    sing = np.concatenate([_shifted(K.singularities, xs), _fixed(g.singularities, n)], axis=1)
+    cuts = np.concatenate([sing, _shifted(K.kinks, xs), _fixed(g.kinks, n)], axis=1)
+    support = None
+    if K.support is not None:
+        support = (xs - K.support[1], xs - K.support[0])
+        if g.support is not None:
+            lo = np.maximum(support[0], g.support[0])
+            support = (lo, np.maximum(np.minimum(support[1], g.support[1]), lo))
+    elif g.support is not None:
+        support = (np.full(n, float(g.support[0])), np.full(n, float(g.support[1])))
+    # each owner's effective_radius
+    feats = np.concatenate([cuts] + ([] if support is None else
+                                     [support[0][:, None], support[1][:, None]]), axis=1)
+    radius = np.full(n, 8.0)
+    if feats.shape[1]:
+        radius = np.maximum(radius, 1.5 * np.max(np.abs(feats), axis=1) + 4.0)
+    fam = _Family(
+        lambda owner, ys: K.values(xs[owner] - ys) * g.values(ys),
+        sing, cuts, radius, support,
+        decay_mul(K.decay, g.decay, growth(K.root), growth(g.root)),
+    )
+    return _integrate_line(fam, cfg)
 
-    if f.decay[0] == "power":
-        if f.decay[1] <= 1.0:
-            raise IntegrabilityError(
-                f"power decay beta={f.decay[1]} <= 1: line integral diverges"
-            )
-        r = effective_radius(f)
-        if cfg.osc_wavelength is not None:
-            lam = cfg.osc_wavelength
-            beta = f.decay[1]
-            r = lam * math.ceil(max(r, 64.0) / lam)
-            total = integrate(f, -r, r, cfg, extra_splits)
-            return (
-                total
-                + _periodic_power_tail(f, r, +1.0, beta, lam, cfg)
-                + _periodic_power_tail(f, r, -1.0, beta, lam, cfg)
-            )
-        total = integrate(f, -r, r, cfg, extra_splits)
-        return total + _power_tail(f, r, +1.0, cfg) + _power_tail(f, r, -1.0, cfg)
 
-    r = effective_radius(f)
-    total = integrate(f, -r, r, cfg, extra_splits)
-    shell_tol = 0.25 * cfg.abs_tol
-    prev_mass = None
-    quiet = 0
-    while r < cfg.truncation_radius:
-        right = integrate(f, r, 2 * r, cfg, extra_splits)
-        left = integrate(f, -2 * r, -r, cfg, extra_splits)
-        mass = abs(right.value) + abs(left.value) + right.err_est + left.err_est
-        total = total + right + left
-        if f.decay[0] == "none":
-            # only an identically-zero tail can be certified
-            probe = np.concatenate([np.linspace(r, 2 * r, 257), np.linspace(-2 * r, -r, 257)])
-            if mass == 0.0 and np.all(f.values(probe) == 0.0):
-                quiet += 1
-                if quiet >= 2:
-                    return total
-            else:
-                raise ConvergenceError(
-                    "decay class 'none' with nonzero tails: cannot certify convergence"
-                )
-        elif f.decay[0] == "power":
-            beta = f.decay[1]
-            rho = 2.0 ** (1.0 - beta)
-            bound = mass * rho / (1.0 - rho)
-            if mass < shell_tol and bound < shell_tol:
-                return QuadResult(total.value, total.err_est + bound, total.converged)
-        else:  # gaussian / exponential
-            if mass < shell_tol:
-                if prev_mass is not None and mass <= prev_mass:
-                    return QuadResult(
-                        total.value, total.err_est + 2 * mass, total.converged
-                    )
-                quiet += 1
-                if quiet >= 2:
-                    return QuadResult(
-                        total.value, total.err_est + 2 * mass, total.converged
-                    )
-        prev_mass = mass
-        r *= 2
-    return QuadResult(total.value, total.err_est, False)
+class ConvolutionValues:
+    """x -> (K * g)(x) on arrays of x, one integral family per call.
+
+    A point whose integral did not converge raises ConvergenceError naming
+    ``layer`` and the point; ``max_err`` is the largest err_est seen.
+    """
+
+    def __init__(self, K, g, cfg, layer):
+        self.K = K
+        self.g = g
+        self.cfg = cfg
+        self.layer = layer
+        self.max_err = 0.0
+
+    def __call__(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        res = convolve(self.K, self.g, xs, self.cfg)
+        if not res.converged.all():
+            i = int(np.argmin(res.converged))
+            raise ConvergenceError(
+                f"{self.layer}: integral at x={float(xs.ravel()[i])!r} did not converge "
+                f"(err_est={res.err_est[i]:.3g})"
+            )
+        if res.err_est.size:
+            self.max_err = max(self.max_err, float(res.err_est.max()))
+        return res.value.reshape(xs.shape)
+
+    def at(self, x):
+        """The value at one point."""
+        return float(self(np.array([float(x)]))[0])
 
 
 def find_sign_changes(f, a, b, n=2048):

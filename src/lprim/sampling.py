@@ -41,7 +41,7 @@ class _SegmentSpline:
 
 
 def sample_function(
-    point_fn,
+    evaluate,
     lo,
     hi,
     breakpoints=(),
@@ -49,21 +49,17 @@ def sample_function(
     initial=16,
     max_points=4096,
     min_spacing=None,
-    batch_fn=None,
 ):
-    """Adaptive sampled representation of ``point_fn`` on [lo, hi].
+    """Adaptive sampled representation on [lo, hi] of the function that
+    ``evaluate`` computes on whole arrays of points.
 
     ``breakpoints`` are interior points where smoothness may fail; each
     segment between them gets its own spline.  Returns (callable, err_est).
     ``min_spacing`` forces at least that sample density (Poisson kernels
-    need spacing tied to the kernel scale).  ``batch_fn``, when given,
-    evaluates a whole array of points at once.
+    need spacing tied to the kernel scale).
     """
     if hi <= lo:
         raise ConvergenceError("sample_function needs hi > lo")
-    evaluate = batch_fn if batch_fn is not None else (
-        lambda xs: np.array([point_fn(x) for x in xs])
-    )
     cuts = sorted({float(lo), float(hi)} | {float(b) for b in breakpoints if lo < b < hi})
     edges = []
     splines = []
@@ -98,12 +94,26 @@ def sample_function(
     return _SegmentSpline(edges, splines, lo, hi), worst
 
 
-def sampled_expr(fn, lo, hi, kinks=(), decay=("compact",), name="<sampled>"):
-    """Wrap a sampled callable as a FunctionExpr supported on [lo, hi]."""
-    return FunctionExpr(
-        Wrapped(fn, name=name, growth_hint=0.0),
-        singularities=(),
-        kinks=tuple(sorted(k for k in kinks if lo < k < hi)),
-        support=(lo, hi),
-        decay=decay,
-    )
+def sampled_expr(fn, lo, hi, kinks=(), name="<sampled>", outside=None, decay=None):
+    """Wrap a callable sampled on [lo, hi] as a FunctionExpr.
+
+    Without ``outside`` the function is supported on [lo, hi].  With it,
+    ``outside`` evaluates the same function on arrays of points beyond
+    [lo, hi] (directly, by quadrature), lo and hi become kinks and
+    ``decay`` is the decay class of the tails.
+    """
+    kinks = {k for k in kinks if lo < k < hi}
+    if outside is None:
+        return FunctionExpr(Wrapped(fn, name=name, growth_hint=0.0),
+                            kinks=tuple(sorted(kinks)), support=(lo, hi),
+                            decay=("compact",))
+
+    def values(xs):
+        out = fn(xs)
+        far = (xs < lo) | (xs > hi)
+        if far.any():
+            out[far] = outside(xs[far])
+        return out
+
+    return FunctionExpr(Wrapped(values, name=name, growth_hint=0.0),
+                        kinks=tuple(sorted(kinks | {lo, hi})), support=None, decay=decay)

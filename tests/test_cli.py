@@ -182,3 +182,20 @@ class TestOutputContract:
         monkeypatch.setenv("LPRIM_ABS_TOL", "1e-6")
         _, code = run("norm", "--p", "2", "--f", "indicator(0,1)")
         assert code == 0
+
+
+def test_cli_tolerances_reach_pair(monkeypatch):
+    import lprim.cli
+    from lprim.quadrature import QuadConfig
+
+    seen = []
+
+    def spy(f, G, cfg=None):
+        seen.append(cfg)
+        return 0.0
+
+    monkeypatch.setattr(lprim.cli, "pair", spy)
+    report, code = run("pair", "--p", "1", "--F", "indicator(0,1)", "--g", "exp(-x^2)",
+                       "--abs-tol", "1e-12", "--rel-tol", "1e-11")
+    assert code == 0
+    assert seen == [QuadConfig.from_env(abs_tol=1e-12, rel_tol=1e-11)]

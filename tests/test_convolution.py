@@ -10,7 +10,8 @@ from lprim.convolution import (
     reflect_about,
     star,
 )
-from lprim.errors import ExponentError
+from lprim.errors import ExponentError, LprimError
+from lprim.expr import FunctionExpr
 from lprim.lpspace import Multiplier, PrimitiveDistribution
 from lprim.parser import parse_expr
 from lprim.quadrature import lp_norm
@@ -76,6 +77,38 @@ class TestYoungProduct:
             conv_lq(f, parse_expr("exp(-x^2)"), 1.0)
 
 
+    def test_exponential_tail_kept(self):
+        # ||chi_(0,1) * e^{-|x|}||_1 = 2: the product's tails beyond the
+        # sampled interval are integrated, not cut
+        f = dist("indicator(0,1)", 1.0)
+        res = conv_lq(f, parse_expr("exp(-abs(x))"), 1.0)
+        assert abs(res.payload.norm - 2.0) <= 1e-8
+
+    def test_jump_density_refused(self):
+        # (chi_(0,1) * chi_(0,2))' jumps; the a.e. derivative of chi_(0,2)
+        # would report density 0 at x = 0.5 where it is 1
+        f = dist("indicator(0,1)", 1.0)
+        res = conv_lq(f, parse_expr("indicator(0,2)"), 1.0)
+        assert res.diagnostics["density"] is None
+        with pytest.raises(LprimError):
+            res.density_at(0.5)
+
+    def test_work_count(self, monkeypatch):
+        # one integral family per sampling pass, not one integral per point
+        f = dist("indicator(0,1)", 1.0)
+        g = parse_expr("exp(-x^2)")
+        calls = []
+        values = FunctionExpr.values
+
+        def counted(self, xs):
+            calls.append(1)
+            return values(self, xs)
+
+        monkeypatch.setattr(FunctionExpr, "values", counted)
+        conv_lq(f, g, 2.0)
+        assert len(calls) <= 200
+
+
 class TestStarProduct:
     def test_oracle_value(self):
         # F = chi_(0,1), G = e^{-x^2}: (F*G)'s distribution; primitive at 0
@@ -86,6 +119,18 @@ class TestStarProduct:
         res = star(f, g)
         # density(0) = int chi_(0,1)(-y) (-2y e^{-y^2}) dy = 1 - e^{-1}
         assert res.density_at(0.0) == pytest.approx(1 - math.exp(-1), abs=1e-8)
+
+    def test_continuous_factor_density(self):
+        # the tent is continuous, so f star g has density F * G' = G(x) - G(x-1)
+        f = dist("indicator(0,1)", 1.0)
+        g = dist("indicator(-1,1)*(1-abs(x))", 1.0)
+        res = star(f, g)
+
+        def tent(x):
+            return max(0.0, 1.0 - abs(x))
+
+        for x in (-0.5, 0.25, 0.5, 1.5):
+            assert res.density_at(x) == pytest.approx(tent(x) - tent(x - 1.0), abs=1e-8)
 
     def test_commutative(self):
         f = dist("indicator(0,1)", 1.0)

@@ -1,18 +1,36 @@
 import math
 
+import numpy as np
 import pytest
 
+from lprim.convolution import reflect_about
 from lprim.errors import ConvergenceError, IntegrabilityError
 from lprim.parser import parse_expr
 from lprim.quadrature import (
     DEFAULT_CONFIG,
+    WG,
+    WGK,
+    XGK,
+    ConvolutionValues,
     QuadConfig,
+    convolve,
     find_sign_changes,
     integrate,
     integrate_line,
     lp_norm,
     sup_norm,
 )
+
+
+class TestRule:
+    def test_weights_sum_to_two(self):
+        assert abs(math.fsum(WGK) - 2.0) <= 4e-16
+        assert abs(math.fsum(WG) - 2.0) <= 4e-16
+
+    def test_one_panel_exact_to_degree_22(self):
+        # a single Kronrod panel on [0, 1] integrates x^22 exactly
+        xs = 0.5 + 0.5 * XGK
+        assert abs(0.5 * float(WGK @ xs**22) - 1.0 / 23.0) <= 1e-15
 
 
 class TestFiniteIntervals:
@@ -129,3 +147,38 @@ class TestConfig:
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(Exception):
             QuadConfig(abs_tol=-1.0)
+
+
+class TestFamilies:
+    """A family of convolution integrals, one owner per x, gives what the
+    one-integral call gives for each x on its own."""
+
+    PAIRS = [
+        ("exp(-x^2)", "exp(-x^2)"),
+        ("indicator(0,1)", "exp(-abs(x))"),
+        ("(x^2+1)^(-1)", "exp(-x^2)"),
+        ("sing(abs(x)^(-0.5), 0)*exp(-abs(x))", "indicator(0,1)"),
+    ]
+
+    @pytest.mark.parametrize("F_src,g_src", PAIRS)
+    def test_family_matches_single_integrals(self, F_src, g_src):
+        F, g = parse_expr(F_src), parse_expr(g_src)
+        xs = np.array([-3.0, -0.7, 0.0, 0.25, 0.5, 1.0, 2.3, 9.0])
+        fam = convolve(F, g, xs)
+        for i, x in enumerate(xs):
+            one = integrate_line(reflect_about(F, x) * g)
+            assert abs(fam.value[i] - one.value) <= max(1e-12, 10 * fam.err_est[i])
+            assert bool(fam.converged[i]) == one.converged
+
+    def test_unconverged_point_raises_naming_layer_and_x(self):
+        F, g = parse_expr("exp(-x^2)"), parse_expr("exp(-x^2)")
+        cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_depth=1)
+        with pytest.raises(ConvergenceError, match=r"poisson: .*x=0\.5"):
+            ConvolutionValues(F, g, cfg, "poisson")(np.array([0.5]))
+
+    def test_largest_error_estimate_kept(self):
+        F, g = parse_expr("indicator(0,1)"), parse_expr("exp(-abs(x))")
+        xs = np.linspace(-2.0, 3.0, 11)
+        conv = ConvolutionValues(F, g, None, "convolution")
+        conv(xs)
+        assert conv.max_err == float(convolve(F, g, xs).err_est.max())
