@@ -57,9 +57,6 @@ from .lpspace import (
     leq,
     meet,
     membership_check,
-    make_distribution,
-    multiplier_norm,
-    norm,
     pair,
     pair_delta_train,
     reconstruct,

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .convolution import conv_lq, star
 from .errors import LprimError, SchemaError
@@ -91,10 +91,9 @@ def _expr_from_json(obj, pointer):
     if support is not None and (not isinstance(support, list) or len(support) != 2):
         raise SchemaError("'support' must be [lo, hi]",
                           pointer=pointer + "/support")
-    return FunctionExpr(
-        e.root,
+    return replace(
+        e,
         singularities=tuple(sorted(set(e.singularities) | {float(s) for s in sing})),
-        kinks=e.kinks,
         support=tuple(float(v) for v in support) if support else e.support,
         decay=("compact",) if support else e.decay,
     )

@@ -12,12 +12,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ExponentError, LprimError
-from .expr import FunctionExpr, decay_add
+from .expr import decay_add
 from .lpspace import PrimitiveDistribution, conjugate, _config_for
 from .parser import parse_expr
 from .quadrature import (DEFAULT_CONFIG, ConvolutionValues, effective_radius, integrate_line,
@@ -25,23 +25,12 @@ from .quadrature import (DEFAULT_CONFIG, ConvolutionValues, effective_radius, in
 from .sampling import sample_function, sampled_expr
 
 
-def reflect_about(F, x):
-    """The function y -> F(x - y), metadata transformed alongside."""
-    return FunctionExpr(
-        F.root.subst_affine(-1.0, x),
-        singularities=tuple(sorted(x - s for s in F.singularities)),
-        kinks=tuple(sorted(x - k for k in F.kinks)),
-        support=None if F.support is None else (x - F.support[1], x - F.support[0]),
-        decay=F.decay,
-    )
-
-
 def conv_multiplier(f, G, x, cfg=None):
     """(f * G)(x) = integral of F(x - y) g(y) dy; bounded by ||f||'_p ||G||_{I,q}."""
     q = conjugate(f.p)
     if not math.isclose(G.q, q, rel_tol=1e-12):
         raise ExponentError(f"multiplier exponent {G.q} is not conjugate to p={f.p}")
-    cfg = _config_for(f.F, cfg, f.osc_wavelength)
+    cfg = _config_for(cfg, f.osc_wavelength)
     return ConvolutionValues(f.F, G.g, cfg, "convolution").at(x)
 
 
@@ -107,7 +96,7 @@ def conv_lq(f, g, r, cfg=None, tol=1e-9):
     if q < 1.0 - 1e-12:
         raise ExponentError(f"exponent relation needs q={q:.4g} >= 1")
     q = max(q, 1.0)
-    cfg = _config_for(f.F, cfg, f.osc_wavelength)
+    cfg = _config_for(cfg, f.osc_wavelength)
     norm_g = lp_norm(g, q, cfg)
     if norm_g == 0.0:
         zero = parse_expr("0*indicator(0,1)")
@@ -126,8 +115,7 @@ def conv_lq(f, g, r, cfg=None, tol=1e-9):
         wm = parse_expr(f"1/(1+exp(-{m}*({m}-abs(x))))")
         d = g * (wm - wn)
         # the windows are bounded by 1, so the difference decays like g itself
-        d = FunctionExpr(d.root, singularities=d.singularities, kinks=d.kinks,
-                         support=d.support, decay=g.decay)
+        d = replace(d, decay=g.decay)
         dq = lp_norm(d, q, cfg)
         tails.append((n, m, f.norm * dq))
 
@@ -190,7 +178,7 @@ def approx_identity(F, g, t_grid, p, cfg=None, tol=1e-8):
     a = integrate_line(F, cfg).value
     out = []
     for t in t_grid:
-        Ft = F.dilate(float(t))
+        Ft = F.affine(1.0 / t, 0.0) * (1.0 / t)
         H, _ = _conv_primitive(g, Ft, cfg, tol)
         out.append(lp_norm(H - g * a, p, cfg))
     return out

@@ -9,7 +9,7 @@ oscillation) and are kept out of tight-tolerance norm loops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,14 +165,7 @@ def sobolev_gn(alpha, beta):
         f"piecewise(x < 0 -> 0, x < {alpha!r} -> {beta!r}*x, "
         f"x < {2 * alpha!r} -> {beta!r}*({2 * alpha!r} - x), else -> 0)"
     )
-    G = FunctionExpr(
-        G.root,
-        singularities=G.singularities,
-        kinks=G.kinks,
-        support=(0.0, 2.0 * alpha),
-        decay=("compact",),
-    )
-    return g, G
+    return g, replace(G, support=(0.0, 2.0 * alpha), decay=("compact",))
 
 
 def tent():

@@ -1,23 +1,24 @@
 """Expression trees for real functions on the line.
 
-Nodes evaluate on floats or numpy arrays, propagate forward-mode jets
-(order <= 4), and differentiate symbolically (almost-everywhere derivative
-for the kinked primitives).  A :class:`FunctionExpr` wraps a tree with the
-metadata the quadrature layer needs: declared singular points, kink points
-(evaluable but non-smooth), an optional exact support interval and a decay
-class tag.
+Nodes evaluate on floats or numpy arrays and differentiate symbolically
+(almost-everywhere derivative for the kinked primitives).  A
+:class:`FunctionExpr` wraps a tree with the metadata the quadrature layer
+needs: declared singular points, kink points (evaluable but non-smooth), an
+optional exact support interval and a decay class tag.  The metadata of a
+tree follows from its children's by one rule per node kind
+(:func:`combine`), whether the tree is parsed or built with operators.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special as _sp
 
 from .errors import EvalDomainError, JetError, LprimError
-from .jets import MAX_ORDER, Jet
 
 # decay tags, ordered strongest first
 DECAY_ORDER = ("compact", "gaussian", "exponential", "power", "none")
@@ -57,6 +58,9 @@ def decay_mul(d1, d2, g1, g2):
 
 # ---------------------------------------------------------------------------
 # nodes
+#
+# ``ev`` runs inside the caller's ``np.errstate`` (FunctionExpr.values and
+# __call__ enter it once per evaluation), on float arrays or numpy scalars.
 
 
 class Node:
@@ -65,48 +69,26 @@ class Node:
     def ev(self, x):
         raise NotImplementedError
 
-    def jet(self, j):
-        raise NotImplementedError
-
     def diff(self):
         raise LprimError(f"{type(self).__name__} is not differentiable")
-
-    def src(self):
-        raise LprimError(f"{type(self).__name__} has no source form")
 
     def subst_affine(self, a, b):
         """The node as a function of t where x = a*t + b."""
         raise NotImplementedError
 
-    # printing precedence: higher binds tighter
-    PREC = 100
-
-    def _wrap(self, child):
-        s = child.src()
-        if child.PREC < self.PREC:
-            return f"({s})"
-        return s
-
 
 class Const(Node):
     def __init__(self, v):
         self.v = float(v)
+        self._scalar = np.float64(self.v)
 
     def ev(self, x):
-        if np.ndim(x):
-            return np.full(np.shape(x), self.v)
-        return self.v
-
-    def jet(self, j):
-        return Jet.constant(self.v, j.order)
+        # a numpy scalar broadcasts against array siblings and keeps numpy's
+        # inf/nan arithmetic in constant subtrees
+        return self._scalar
 
     def diff(self):
         return Const(0.0)
-
-    def src(self):
-        if self.v == int(self.v) and abs(self.v) < 1e15:
-            return repr(int(self.v))
-        return repr(self.v)
 
     def subst_affine(self, a, b):
         return self
@@ -114,105 +96,52 @@ class Const(Node):
 
 class Var(Node):
     def ev(self, x):
-        return np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-
-    def jet(self, j):
-        return j
+        return x
 
     def diff(self):
         return Const(1.0)
 
-    def src(self):
-        return "x"
-
     def subst_affine(self, a, b):
-        if a == 1.0 and b == 0.0:
-            return self
-        if a == 1.0:
-            return Add(Var(), Const(b)) if b else self
-        node = Mul(Const(a), Var())
+        node = Var() if a == 1.0 else Mul(Const(a), Var())
         return Add(node, Const(b)) if b else node
 
 
 class _Binary(Node):
-    OP = "?"
-
     def __init__(self, a, b):
         self.a = a
         self.b = b
-
-    def src(self):
-        return f"{self._wrap(self.a)} {self.OP} {self._wrap_r(self.b)}"
-
-    def _wrap_r(self, child):
-        s = child.src()
-        if child.PREC <= self.PREC and not self.ASSOC:
-            return f"({s})"
-        if child.PREC < self.PREC:
-            return f"({s})"
-        return s
-
-    ASSOC = True
 
     def subst_affine(self, a, b):
         return type(self)(self.a.subst_affine(a, b), self.b.subst_affine(a, b))
 
 
 class Add(_Binary):
-    OP = "+"
-    PREC = 10
-
     def ev(self, x):
         return self.a.ev(x) + self.b.ev(x)
-
-    def jet(self, j):
-        return self.a.jet(j) + self.b.jet(j)
 
     def diff(self):
         return Add(self.a.diff(), self.b.diff())
 
 
 class Sub(_Binary):
-    OP = "-"
-    PREC = 10
-    ASSOC = False
-
     def ev(self, x):
         return self.a.ev(x) - self.b.ev(x)
-
-    def jet(self, j):
-        return self.a.jet(j) - self.b.jet(j)
 
     def diff(self):
         return Sub(self.a.diff(), self.b.diff())
 
 
 class Mul(_Binary):
-    OP = "*"
-    PREC = 20
-
     def ev(self, x):
-        with np.errstate(invalid="ignore", over="ignore"):
-            return self.a.ev(x) * self.b.ev(x)
-
-    def jet(self, j):
-        return self.a.jet(j) * self.b.jet(j)
+        return self.a.ev(x) * self.b.ev(x)
 
     def diff(self):
         return Add(Mul(self.a.diff(), self.b), Mul(self.a, self.b.diff()))
 
 
 class Div(_Binary):
-    OP = "/"
-    PREC = 20
-    ASSOC = False
-
     def ev(self, x):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self.a.ev(x) / self.b.ev(x)
-
-    def jet(self, j):
-        return self.a.jet(j) / self.b.jet(j)
+        return self.a.ev(x) / self.b.ev(x)
 
     def diff(self):
         num = Sub(Mul(self.a.diff(), self.b), Mul(self.a, self.b.diff()))
@@ -220,22 +149,14 @@ class Div(_Binary):
 
 
 class Neg(Node):
-    PREC = 30
-
     def __init__(self, a):
         self.a = a
 
     def ev(self, x):
         return -self.a.ev(x)
 
-    def jet(self, j):
-        return -self.a.jet(j)
-
     def diff(self):
         return Neg(self.a.diff())
-
-    def src(self):
-        return f"-{self._wrap(self.a)}"
 
     def subst_affine(self, a, b):
         return Neg(self.a.subst_affine(a, b))
@@ -244,8 +165,6 @@ class Neg(Node):
 class Pow(Node):
     """base ^ exponent with a constant exponent."""
 
-    PREC = 40
-
     def __init__(self, base, expo):
         self.base = base
         self.expo = float(expo)
@@ -253,41 +172,36 @@ class Pow(Node):
 
     def ev(self, x):
         b = self.base.ev(x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self._is_int:
-                if np.ndim(b) == 0:
-                    return b ** int(self.expo)
-                # multiplication by squaring: much faster than np.power's
-                # per-element pow() for integer exponents
-                e = int(self.expo)
-                if e == 0:
-                    return np.ones_like(b)
-                neg = e < 0
-                e = abs(e)
-                acc = None
-                sq = b
-                while e:
-                    if e & 1:
-                        acc = sq if acc is None else acc * sq
-                    e >>= 1
-                    if e:
-                        sq = sq * sq
-                return 1.0 / acc if neg else acc
-            return np.power(b, self.expo) if np.ndim(b) else float(b) ** self.expo
-
-    def jet(self, j):
-        bj = self.base.jet(j)
-        if self._is_int:
-            return bj.powi(int(self.expo))
-        return bj.powf(self.expo)
+        if not self._is_int:
+            return np.power(b, self.expo)
+        e = int(self.expo)
+        if np.ndim(b) == 0:
+            return b ** e
+        # multiplication by squaring: much faster than np.power's
+        # per-element pow() for integer exponents
+        if e == 0:
+            return np.ones_like(b)
+        neg = e < 0
+        e = abs(e)
+        acc = None
+        sq = b
+        while e:
+            if e & 1:
+                acc = sq if acc is None else acc * sq
+            e >>= 1
+            if e:
+                sq = sq * sq
+        return 1.0 / acc if neg else acc
 
     def diff(self):
-        return Mul(Const(self.expo), Mul(Pow(self.base, self.expo - 1.0), self.base.diff()))
-
-    def src(self):
-        e = self.expo
-        es = Const(e).src() if e >= 0 else f"({Const(e).src()})"
-        return f"{self._wrap(self.base)}^{es}"
+        # x^1 and x^0 differentiate to constants: writing them as
+        # x^0 * ... and 0 * x^(-1) * ... would put 0/0 at x = 0
+        if self.expo == 0.0:
+            return Const(0.0)
+        inner = self.base.diff()
+        if self.expo != 1.0:
+            inner = Mul(Pow(self.base, self.expo - 1.0), inner)
+        return Mul(Const(self.expo), inner)
 
     def subst_affine(self, a, b):
         return Pow(self.base.subst_affine(a, b), self.expo)
@@ -305,23 +219,10 @@ _UNARY_EV = {
     "sgn": np.sign,
 }
 
-_UNARY_JET = {
-    "exp": Jet.exp,
-    "log": Jet.log,
-    "sin": Jet.sin,
-    "cos": Jet.cos,
-    "atan": Jet.atan,
-    "erf": Jet.erf,
-    "sqrt": lambda j: j.powf(0.5),
-    "abs": Jet.absolute,
-}
-
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 class Call(Node):
-    PREC = 100
-
     def __init__(self, name, arg):
         if name not in _UNARY_EV:
             raise LprimError(f"unknown function {name!r}")
@@ -329,16 +230,7 @@ class Call(Node):
         self.arg = arg
 
     def ev(self, x):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _UNARY_EV[self.name](self.arg.ev(x))
-
-    def jet(self, j):
-        aj = self.arg.jet(j)
-        if self.name == "sgn":
-            if aj.value == 0.0:
-                raise JetError("sgn jet at its kink")
-            return Jet.constant(math.copysign(1.0, aj.value), j.order)
-        return _UNARY_JET[self.name](aj)
+        return _UNARY_EV[self.name](self.arg.ev(x))
 
     def diff(self):
         a = self.arg
@@ -358,9 +250,6 @@ class Call(Node):
         }
         return table[self.name]()
 
-    def src(self):
-        return f"{self.name}({self.arg.src()})"
-
     def subst_affine(self, a, b):
         return Call(self.name, self.arg.subst_affine(a, b))
 
@@ -372,8 +261,6 @@ class Indicator(Node):
     second-order accurate.
     """
 
-    PREC = 100
-
     def __init__(self, a, b):
         if not a < b:
             raise LprimError("indicator needs a < b")
@@ -383,22 +270,11 @@ class Indicator(Node):
     def ev(self, x):
         return 0.5 * (np.sign(np.subtract(x, self.a)) - np.sign(np.subtract(x, self.b)))
 
-    def jet(self, j):
-        x0 = j.value
-        if x0 == self.a or x0 == self.b:
-            raise JetError("indicator jet at a jump")
-        return Jet.constant(1.0 if self.a < x0 < self.b else 0.0, j.order)
-
     def diff(self):
         return Const(0.0)  # a.e. derivative
 
-    def src(self):
-        return f"indicator({Const(self.a).src()}, {Const(self.b).src()})"
-
     def subst_affine(self, a, b):
         # x = a*t + b lies in (lo, hi)  <=>  t in the transformed interval
-        if a == 0.0:
-            return Const(1.0 if self.a < b < self.b else 0.0)
         lo = (self.a - b) / a
         hi = (self.b - b) / a
         if a < 0:
@@ -406,10 +282,14 @@ class Indicator(Node):
         return Indicator(lo, hi)
 
 
+_CMP = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+        "=": np.equal}
+
+
 class Cmp:
     """Comparison used in piecewise conditions."""
 
-    OPS = ("<", "<=", ">", ">=", "=")
+    OPS = tuple(_CMP)
 
     def __init__(self, lhs, op, rhs):
         if op not in self.OPS:
@@ -419,18 +299,7 @@ class Cmp:
         self.rhs = rhs
 
     def ev(self, x):
-        l = self.lhs.ev(x)
-        r = self.rhs.ev(x)
-        return {
-            "<": lambda: np.less(l, r),
-            "<=": lambda: np.less_equal(l, r),
-            ">": lambda: np.greater(l, r),
-            ">=": lambda: np.greater_equal(l, r),
-            "=": lambda: np.equal(l, r),
-        }[self.op]()
-
-    def src(self):
-        return f"{self.lhs.src()} {self.op} {self.rhs.src()}"
+        return _CMP[self.op](self.lhs.ev(x), self.rhs.ev(x))
 
     def subst_affine(self, a, b):
         return Cmp(self.lhs.subst_affine(a, b), self.op, self.rhs.subst_affine(a, b))
@@ -439,37 +308,20 @@ class Cmp:
 class Piecewise(Node):
     """First matching branch wins; an `else` branch is optional (default 0)."""
 
-    PREC = 100
-
     def __init__(self, branches, otherwise=None):
         self.branches = list(branches)
         self.otherwise = otherwise if otherwise is not None else Const(0.0)
 
     def ev(self, x):
-        with np.errstate(all="ignore"):
-            out = self.otherwise.ev(x)
-            for cond, node in reversed(self.branches):
-                out = np.where(cond.ev(x), node.ev(x), out)
-        if np.ndim(x):
-            return out
-        return float(out)
-
-    def jet(self, j):
-        x0 = j.value
-        for cond, node in self.branches:
-            if bool(cond.ev(x0)):
-                return node.jet(j)
-        return self.otherwise.jet(j)
+        out = self.otherwise.ev(x)
+        for cond, node in reversed(self.branches):
+            out = np.where(cond.ev(x), node.ev(x), out)
+        return out
 
     def diff(self):
         return Piecewise(
             [(c, n.diff()) for c, n in self.branches], self.otherwise.diff()
         )
-
-    def src(self):
-        parts = [f"{c.src()} -> {n.src()}" for c, n in self.branches]
-        parts.append(f"else -> {self.otherwise.src()}")
-        return "piecewise(" + ", ".join(parts) + ")"
 
     def subst_affine(self, a, b):
         return Piecewise(
@@ -480,35 +332,17 @@ class Piecewise(Node):
 
 class Wrapped(Node):
     """Opaque vectorized callable (quadrature-backed primitives, Cantor
-    iterates, ...).  Optional jet and derivative callables."""
+    iterates, ...)."""
 
-    PREC = 100
-
-    def __init__(self, fn, name="<numeric>", jet_fn=None, diff_fn=None,
-                 growth_hint=math.inf):
+    def __init__(self, fn, name="<numeric>", growth_hint=math.inf):
         self.fn = fn
         self.name = name
-        self.jet_fn = jet_fn
-        self.diff_fn = diff_fn
         self.growth_hint = growth_hint
 
     def ev(self, x):
         if np.ndim(x):
             return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-        return float(self.fn(np.asarray([x], dtype=float))[0])
-
-    def jet(self, j):
-        if self.jet_fn is None:
-            raise JetError(f"{self.name} has no jet")
-        return self.jet_fn(j)
-
-    def diff(self):
-        if self.diff_fn is None:
-            raise LprimError(f"{self.name} is not differentiable")
-        return self.diff_fn()
-
-    def src(self):
-        return self.name
+        return np.float64(self.fn(np.asarray([x], dtype=float))[0])
 
     def subst_affine(self, a, b):
         base = self.fn
@@ -550,78 +384,6 @@ def _zero_of(node):
         return -node.b.v
     if isinstance(node, Pow) and node.expo > 0:
         return _zero_of(node.base)
-    return None
-
-
-def infer_metadata(node):
-    """Syntactic scan: (singularities, kinks, support, decay)."""
-    sing = set()
-    kinks = set()
-
-    def walk(n):
-        if isinstance(n, Call):
-            if n.name in ("abs", "sgn"):
-                z = _zero_of(n.arg)
-                if z is not None:
-                    (kinks if n.name == "abs" else kinks).add(z)
-            elif n.name == "log":
-                z = _zero_of(n.arg)
-                if z is not None:
-                    sing.add(z)
-            elif n.name == "sqrt":
-                z = _zero_of(n.arg)
-                if z is not None:
-                    kinks.add(z)
-        elif isinstance(n, Div):
-            z = _zero_of(n.b)
-            if z is not None:
-                sing.add(z)
-        elif isinstance(n, Pow) and n.expo < 0:
-            z = _zero_of(n.base)
-            if z is not None:
-                sing.add(z)
-        elif isinstance(n, Pow) and 0 < n.expo < 1:
-            z = _zero_of(n.base)
-            if z is not None:
-                kinks.add(z)
-        elif isinstance(n, Indicator):
-            kinks.update((n.a, n.b))
-        elif isinstance(n, Piecewise):
-            for c, _ in n.branches:
-                if isinstance(c.lhs, Var) and isinstance(c.rhs, Const):
-                    kinks.add(c.rhs.v)
-                elif isinstance(c.rhs, Var) and isinstance(c.lhs, Const):
-                    kinks.add(c.lhs.v)
-        for ch in _children(n):
-            walk(ch)
-
-    walk(node)
-    support = _infer_support(node)
-    decay = ("compact",) if support is not None else _infer_decay(node)
-    kinks -= sing
-    return tuple(sorted(sing)), tuple(sorted(kinks)), support, decay
-
-
-def _infer_support(node):
-    if isinstance(node, Indicator):
-        return (node.a, node.b)
-    if isinstance(node, Mul):
-        sa = _infer_support(node.a)
-        sb = _infer_support(node.b)
-        if sa and sb:
-            lo, hi = max(sa[0], sb[0]), min(sa[1], sb[1])
-            return (lo, hi) if lo < hi else (lo, lo + 0.0)
-        return sa or sb
-    if isinstance(node, (Add, Sub)):
-        sa = _infer_support(node.a)
-        sb = _infer_support(node.b)
-        if sa and sb:
-            return (min(sa[0], sb[0]), max(sa[1], sb[1]))
-        return None
-    if isinstance(node, Neg):
-        return _infer_support(node.a)
-    if isinstance(node, Pow) and node.expo > 0:
-        return _infer_support(node.base)
     return None
 
 
@@ -698,63 +460,34 @@ def _neg_arg_decay(arg):
     return ("none",)
 
 
-def _infer_decay(node):
-    if isinstance(node, (Const,)):
-        return ("compact",) if node.v == 0.0 else ("none",)
-    if isinstance(node, Indicator):
-        return ("compact",)
-    if isinstance(node, Neg):
-        return _infer_decay(node.a)
-    if isinstance(node, (Add, Sub)):
-        return decay_add(_infer_decay(node.a), _infer_decay(node.b))
-    if isinstance(node, Mul):
-        return decay_mul(
-            _infer_decay(node.a), _infer_decay(node.b), growth(node.a), growth(node.b)
-        )
-    if isinstance(node, Div):
-        da = _infer_decay(node.a)
-        gb = growth(node.b)
-        if isinstance(node.b, Const):
-            return da
-        if gb not in (0.0, math.inf) and gb < math.inf and growth(node.a) == 0.0:
-            # bounded numerator over a polynomially growing denominator
-            return decay_mul(da, ("power", gb), 0.0, 0.0) if da[0] != "none" else (
-                "power",
-                gb,
-            )
-        return ("none",)
-    if isinstance(node, Pow):
-        d = _infer_decay(node.base)
-        if node.expo > 0:
-            if d[0] == "power":
-                return ("power", d[1] * node.expo)
-            return d
-        if node.expo < 0:
-            g = growth(node.base)
-            if 0.0 < g < math.inf and d[0] == "none":
-                return ("power", g * -node.expo)
-        return ("none",)
-    if isinstance(node, Call):
-        if node.name == "exp":
-            return _neg_arg_decay(node.arg)
-        if node.name in ("abs",):
-            return _infer_decay(node.arg)
-        if node.name in ("sin", "atan", "erf"):
-            # vanish at 0, but that says nothing about the tails
-            return ("none",)
-        return ("none",)
-    if isinstance(node, Piecewise):
-        ds = [_infer_decay(n) for _, n in node.branches]
-        ds.append(_infer_decay(node.otherwise))
-        out = ds[0]
-        for d in ds[1:]:
-            out = decay_add(out, d)
-        return out
-    return ("none",)
-
-
 # ---------------------------------------------------------------------------
-# FunctionExpr
+# metadata: one rule per node kind, applied to the children's metadata
+
+
+def _own_points(node):
+    """The singular points and kinks that ``node`` adds to its children's."""
+    sing, kinks = set(), set()
+    if isinstance(node, Call) and node.name in ("abs", "sgn", "sqrt", "log"):
+        z = _zero_of(node.arg)
+        if z is not None:
+            (sing if node.name == "log" else kinks).add(z)
+    elif isinstance(node, Div):
+        z = _zero_of(node.b)
+        if z is not None:
+            sing.add(z)
+    elif isinstance(node, Pow) and node.expo < 1 and node.expo != 0:
+        z = _zero_of(node.base)
+        if z is not None:
+            (sing if node.expo < 0 else kinks).add(z)
+    elif isinstance(node, Indicator):
+        kinks.update((node.a, node.b))
+    elif isinstance(node, Piecewise):
+        for c, _ in node.branches:
+            if isinstance(c.lhs, Var) and isinstance(c.rhs, Const):
+                kinks.add(c.rhs.v)
+            elif isinstance(c.rhs, Var) and isinstance(c.lhs, Const):
+                kinks.add(c.lhs.v)
+    return sing, kinks
 
 
 def _merge_support_add(sa, sb):
@@ -772,6 +505,78 @@ def _merge_support_mul(sa, sb):
     return (lo, hi) if lo < hi else (lo, lo)
 
 
+def _branch_values(kids):
+    """The branch values among a Piecewise's children (see _children)."""
+    return list(kids[2:-1:3]) + [kids[-1]]
+
+
+def _support(node, kids):
+    if isinstance(node, Indicator):
+        return (node.a, node.b)
+    if isinstance(node, Mul):
+        return _merge_support_mul(kids[0].support, kids[1].support)
+    if isinstance(node, (Add, Sub)):
+        return _merge_support_add(kids[0].support, kids[1].support)
+    if isinstance(node, Piecewise):
+        return functools.reduce(_merge_support_add,
+                                [k.support for k in _branch_values(kids)])
+    if (isinstance(node, Neg) or (isinstance(node, Pow) and node.expo > 0)
+            or (isinstance(node, Call) and node.name in ("abs", "sgn"))):
+        # abs(f) and sgn(f) vanish wherever f does
+        return kids[0].support
+    return None
+
+
+def _decay(node, kids):
+    if isinstance(node, Const):
+        return ("compact",) if node.v == 0.0 else ("none",)
+    if isinstance(node, Neg) or (isinstance(node, Call) and node.name == "abs"):
+        return kids[0].decay
+    if isinstance(node, (Add, Sub)):
+        return decay_add(kids[0].decay, kids[1].decay)
+    if isinstance(node, Mul):
+        return decay_mul(kids[0].decay, kids[1].decay, growth(node.a), growth(node.b))
+    if isinstance(node, Div):
+        if isinstance(node.b, Const):
+            return kids[0].decay
+        gb = growth(node.b)
+        if 0.0 < gb < math.inf and growth(node.a) == 0.0:
+            # bounded numerator over a polynomially growing denominator
+            return decay_mul(kids[0].decay, ("power", gb), 0.0, 0.0)
+        return ("none",)
+    if isinstance(node, Pow):
+        d = kids[0].decay
+        if node.expo > 0:
+            return ("power", d[1] * node.expo) if d[0] == "power" else d
+        g = growth(node.base)
+        if node.expo < 0 and 0.0 < g < math.inf and d[0] == "none":
+            return ("power", g * -node.expo)
+        return ("none",)
+    if isinstance(node, Call) and node.name == "exp":
+        return _neg_arg_decay(node.arg)
+    if isinstance(node, Piecewise):
+        return functools.reduce(decay_add, [k.decay for k in _branch_values(kids)])
+    return ("none",)
+
+
+def combine(node, *kids):
+    """``node`` as a FunctionExpr, its metadata computed by the rule for the
+    node's kind from ``kids``: one FunctionExpr per entry of
+    ``_children(node)``, carrying that child's metadata."""
+    sing, kinks = _own_points(node)
+    for k in kids:
+        sing.update(k.singularities)
+        kinks.update(k.kinks)
+    support = _support(node, kids)
+    decay = ("compact",) if support is not None else _decay(node, kids)
+    return FunctionExpr(node, tuple(sorted(sing)), tuple(sorted(kinks - sing)),
+                        support, decay)
+
+
+# ---------------------------------------------------------------------------
+# FunctionExpr
+
+
 @dataclass(frozen=True)
 class FunctionExpr:
     """A closed-form (or numerically backed) real function on the line."""
@@ -783,11 +588,9 @@ class FunctionExpr:
     decay: tuple = ("none",)
 
     @staticmethod
-    def from_node(node, **overrides):
-        sing, kinks, support, decay = infer_metadata(node)
-        meta = dict(singularities=sing, kinks=kinks, support=support, decay=decay)
-        meta.update(overrides)
-        return FunctionExpr(node, **meta)
+    def from_node(node):
+        """``node`` with metadata inferred bottom-up from its syntax."""
+        return combine(node, *(FunctionExpr.from_node(c) for c in _children(node)))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -797,13 +600,14 @@ class FunctionExpr:
             raise EvalDomainError(f"evaluation at declared singular point {x}")
         if self.support is not None and not (self.support[0] <= x <= self.support[1]):
             return 0.0
-        v = self.root.ev(x)
-        return float(v)
+        with np.errstate(all="ignore"):
+            return float(self.root.ev(np.float64(x)))
 
     def values(self, xs):
         """Vectorized evaluation; caller keeps clear of singular points."""
         xs = np.asarray(xs, dtype=float)
-        out = np.asarray(self.root.ev(xs), dtype=float)
+        with np.errstate(all="ignore"):
+            out = np.asarray(self.root.ev(xs), dtype=float)
         if out.shape != xs.shape:
             out = np.broadcast_to(out, xs.shape).copy()
         if self.support is not None:
@@ -812,152 +616,81 @@ class FunctionExpr:
         return out
 
     def eval_jet(self, x, k):
-        """(value, d1, ..., dk) via forward-mode propagation."""
-        if not 0 <= k <= MAX_ORDER:
-            raise JetError(f"jet order must be in [0, {MAX_ORDER}]")
+        """(value, d1, ..., dk) at x for k <= 4, by repeated symbolic
+        differentiation of the tree."""
+        if not 0 <= k <= 4:
+            raise JetError("jet order must be in [0, 4]")
         x = float(x)
         for s in self.singularities + self.kinks:
             if abs(x - s) < 1e-12:
                 raise JetError(f"jet at non-smooth point {s}")
-        j = self.root.jet(Jet.variable(x, k))
-        return j.derivatives()
-
-    def to_source(self):
-        return self.root.src()
+        out = []
+        node = self.root
+        with np.errstate(all="ignore"):
+            for i in range(k + 1):
+                v = float(node.ev(np.float64(x)))
+                if not math.isfinite(v):
+                    raise JetError(f"derivative {i} at {x} is not finite")
+                out.append(v)
+                if i < k:
+                    node = node.diff()
+        return tuple(out)
 
     # -- calculus ------------------------------------------------------------
 
     def diff(self):
         """Almost-everywhere derivative.  Kinks of this function become
         potential singular points of the derivative."""
-        return FunctionExpr(
-            self.root.diff(),
-            singularities=tuple(sorted(set(self.singularities) | set(self.kinks))),
-            kinks=self.kinks,
-            support=self.support,
-            decay=self.decay,
-        )
-
-    @property
-    def is_smooth(self):
-        if self.singularities or self.kinks:
-            return False
-        ok = True
-
-        def walk(n):
-            nonlocal ok
-            if isinstance(n, (Indicator, Piecewise)):
-                ok = False
-            if isinstance(n, Call) and n.name in ("abs", "sgn"):
-                ok = False
-            if isinstance(n, Wrapped) and n.jet_fn is None:
-                ok = False
-            for ch in _children(n):
-                walk(ch)
-
-        walk(self.root)
-        return ok
+        return replace(self, root=self.root.diff(),
+                       singularities=tuple(sorted(set(self.singularities) | set(self.kinks))))
 
     # -- algebra -------------------------------------------------------------
 
-    def _binary(self, other, cls, support_rule, decay_rule):
-        if not isinstance(other, FunctionExpr):
-            other = FunctionExpr(Const(other), decay=("none",))
-        return FunctionExpr(
-            cls(self.root, other.root),
-            singularities=tuple(sorted(set(self.singularities) | set(other.singularities))),
-            kinks=tuple(sorted((set(self.kinks) | set(other.kinks))
-                               - set(self.singularities) - set(other.singularities))),
-            support=support_rule(self.support, other.support),
-            decay=decay_rule(self, other),
-        )
-
     def __add__(self, other):
-        return self._binary(
-            other, Add, _merge_support_add, lambda a, b: decay_add(a.decay, b.decay)
-        )
+        other = _lift_scalar(other)
+        return combine(Add(self.root, other.root), self, other)
 
     def __sub__(self, other):
-        return self._binary(
-            other, Sub, _merge_support_add, lambda a, b: decay_add(a.decay, b.decay)
-        )
+        other = _lift_scalar(other)
+        return combine(Sub(self.root, other.root), self, other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            if other == 0.0:
-                return FunctionExpr(Const(0.0), support=(0.0, 0.0), decay=("compact",))
-            return FunctionExpr(
-                Mul(Const(other), self.root),
-                singularities=self.singularities,
-                kinks=self.kinks,
-                support=self.support,
-                decay=self.decay,
-            )
-        return self._binary(
-            other,
-            Mul,
-            _merge_support_mul,
-            lambda a, b: decay_mul(a.decay, b.decay, growth(a.root), growth(b.root)),
-        )
+        if isinstance(other, FunctionExpr):
+            return combine(Mul(self.root, other.root), self, other)
+        if other == 0.0:
+            return FunctionExpr(Const(0.0), support=(0.0, 0.0), decay=("compact",))
+        c = _lift_scalar(other)
+        return combine(Mul(c.root, self.root), c, self)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FunctionExpr(
-            Neg(self.root),
-            singularities=self.singularities,
-            kinks=self.kinks,
-            support=self.support,
-            decay=self.decay,
-        )
+        return combine(Neg(self.root), self)
 
     def __abs__(self):
-        return FunctionExpr(
-            Call("abs", self.root),
-            singularities=self.singularities,
-            kinks=self.kinks,  # zeros of self are extra kinks found at quadrature time
-            support=self.support,
-            decay=self.decay,
-        )
+        # zeros of self are extra kinks found at quadrature time
+        return combine(Call("abs", self.root), self)
 
     def power(self, r):
         """|self| is expected nonnegative-compatible for fractional r."""
-        return FunctionExpr(
-            Pow(self.root, r),
-            singularities=self.singularities,
-            kinks=self.kinks,
-            support=self.support if r > 0 else None,
-            decay=(("power", self.decay[1] * r) if self.decay[0] == "power" else self.decay)
-            if r > 0
-            else ("none",),
-        )
+        return combine(Pow(self.root, r), self)
 
-    def translate(self, t):
-        """The function x -> self(x - t)."""
-        t = float(t)
-        if t == 0.0:
+    def affine(self, a, b):
+        """The function t -> self(a*t + b), a != 0.  Each singular point,
+        kink and support end p moves to (p - b)/a, as the tree's indicator
+        endpoints do; the decay class is unchanged."""
+        a, b = float(a), float(b)
+        if a == 0.0:
+            raise LprimError("affine map needs a != 0")
+        if a == 1.0 and b == 0.0:
             return self
-        return FunctionExpr(
-            self.root.subst_affine(1.0, -t),
-            singularities=tuple(s + t for s in self.singularities),
-            kinks=tuple(k + t for k in self.kinks),
-            support=None if self.support is None else (self.support[0] + t, self.support[1] + t),
-            decay=self.decay,
-        )
 
-    def dilate(self, t):
-        """The L^1-normalized dilation x -> self(x/t)/t for t > 0."""
-        t = float(t)
-        if t <= 0:
-            raise LprimError("dilation scale must be positive")
-        scaled = FunctionExpr(
-            self.root.subst_affine(1.0 / t, 0.0),
-            singularities=tuple(s * t for s in self.singularities),
-            kinks=tuple(k * t for k in self.kinks),
-            support=None if self.support is None else (self.support[0] * t, self.support[1] * t),
-            decay=self.decay,
-        )
-        return scaled * (1.0 / t)
+        def move(points):
+            return tuple(sorted((p - b) / a for p in points))
+
+        return replace(self, root=self.root.subst_affine(a, b),
+                       singularities=move(self.singularities), kinks=move(self.kinks),
+                       support=None if self.support is None else move(self.support))
 
     def feature_points(self):
         pts = set(self.singularities) | set(self.kinks)
@@ -966,32 +699,22 @@ class FunctionExpr:
         return tuple(sorted(pts))
 
 
+def _lift_scalar(v):
+    return v if isinstance(v, FunctionExpr) else FunctionExpr.from_node(Const(v))
+
+
 def maximum(f, g):
     """Pointwise max; crossing points are located by the quadrature layer."""
-    node = Piecewise([(Cmp(f.root, ">=", g.root), f.root)], g.root)
-    return FunctionExpr(
-        node,
-        singularities=tuple(sorted(set(f.singularities) | set(g.singularities))),
-        kinks=tuple(sorted(set(f.kinks) | set(g.kinks))),
-        support=_merge_support_add(f.support, g.support),
-        decay=decay_add(f.decay, g.decay),
-    )
+    return combine(Piecewise([(Cmp(f.root, ">=", g.root), f.root)], g.root), f, g, f, g)
 
 
 def minimum(f, g):
-    node = Piecewise([(Cmp(f.root, "<=", g.root), f.root)], g.root)
-    return FunctionExpr(
-        node,
-        singularities=tuple(sorted(set(f.singularities) | set(g.singularities))),
-        kinks=tuple(sorted(set(f.kinks) | set(g.kinks))),
-        support=_merge_support_add(f.support, g.support),
-        decay=decay_add(f.decay, g.decay),
-    )
+    return combine(Piecewise([(Cmp(f.root, "<=", g.root), f.root)], g.root), f, g, f, g)
 
 
 def const_expr(v):
-    return FunctionExpr(Const(v), decay=("compact",) if v == 0.0 else ("none",))
+    return FunctionExpr.from_node(Const(v))
 
 
 def var_expr():
-    return FunctionExpr(Var(), decay=("none",))
+    return FunctionExpr.from_node(Var())

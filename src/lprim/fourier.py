@@ -169,19 +169,11 @@ def exchange_identity(f, g, cfg=None):
         return out
 
     lhs_re = integrate_line(
-        FunctionExpr(
-            Wrapped(lambda ss: lhs_parts(ss, lambda z: z.re), name="fhat_re",
-                    growth_hint=1.0),
-            singularities=g.singularities, kinks=g.kinks,
-            support=g.support, decay=g.decay,
-        ) * g, cfg).value
+        replace(g, root=Wrapped(lambda ss: lhs_parts(ss, lambda z: z.re), name="fhat_re",
+                                growth_hint=1.0)) * g, cfg).value
     lhs_im = integrate_line(
-        FunctionExpr(
-            Wrapped(lambda ss: lhs_parts(ss, lambda z: z.im), name="fhat_im",
-                    growth_hint=1.0),
-            singularities=g.singularities, kinks=g.kinks,
-            support=g.support, decay=g.decay,
-        ) * g, cfg).value
+        replace(g, root=Wrapped(lambda ss: lhs_parts(ss, lambda z: z.im), name="fhat_im",
+                                growth_hint=1.0)) * g, cfg).value
 
     # the action of f = F' on g^ is -integral F (g^)'; (g^)'(x) is the
     # transform of -is g(s), finite because s g(s) is integrable
@@ -202,15 +194,13 @@ def exchange_identity(f, g, cfg=None):
         return out
 
     F = f.F
-    meta = dict(singularities=F.singularities, kinks=F.kinks,
-                support=F.support, decay=F.decay)
     rhs_re = -integrate_line(
-        F * FunctionExpr(Wrapped(lambda xs: ghat_prime(xs, lambda z: z.real),
-                                 name="ghatp_re", growth_hint=0.0), **meta),
+        F * replace(F, root=Wrapped(lambda xs: ghat_prime(xs, lambda z: z.real),
+                                    name="ghatp_re", growth_hint=0.0)),
         cfg).value
     rhs_im = -integrate_line(
-        F * FunctionExpr(Wrapped(lambda xs: ghat_prime(xs, lambda z: z.imag),
-                                 name="ghatp_im", growth_hint=0.0), **meta),
+        F * replace(F, root=Wrapped(lambda xs: ghat_prime(xs, lambda z: z.imag),
+                                    name="ghatp_im", growth_hint=0.0)),
         cfg).value
     return ComplexValue(lhs_re, lhs_im), ComplexValue(rhs_re, rhs_im)
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import ExponentError, LprimError
 from .expr import FunctionExpr, Wrapped
@@ -152,9 +153,7 @@ def intermediate_identity_check(F, g, n, m, cfg=None):
                 name="iterate", growth_hint=float(n - m))
     )
     sign_m = -1.0 if m % 2 else 1.0
-    prod = Fd * Gm_expr
-    prod = FunctionExpr(prod.root, singularities=prod.singularities,
-                        kinks=prod.kinks, support=prod.support, decay=Fd.decay)
+    prod = replace(Fd * Gm_expr, decay=Fd.decay)
     rhs = sign_m * integrate_line(prod, cfg).value
     return lhs, rhs
 
@@ -172,7 +171,7 @@ def norm_comparison_example(m, cfg=None):
     l1 = lp_norm(Fm, 1.0, cfg)
 
     # cumulative primitive on a grid resolving the oscillation, then a
-    # golden-section polish around the best node
+    # bounded Brent polish around the best node
     n_panels = max(4096, 64 * m)
     edges = np.linspace(0.0, 2.0 * math.pi, n_panels + 1)
     from .quadrature import _gk_eval
@@ -186,20 +185,9 @@ def norm_comparison_example(m, cfg=None):
     base = cum[max(i - 1, 0)]
 
     def h(x):
-        return abs(base + integrate(Fm, edges[max(i - 1, 0)], x, cfg).value)
+        return abs(base + integrate(Fm, lo, x, cfg).value)
 
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = h(c), h(d)
-    for _ in range(60):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = h(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = h(c)
-    alexiewicz = max(h(0.5 * (a + b)), float(np.max(np.abs(cum))))
+    res = minimize_scalar(lambda x: -h(x), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    alexiewicz = max(-res.fun, float(np.max(np.abs(cum))))
     return l1, alexiewicz

@@ -13,18 +13,16 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ExponentError, LprimError
-from .expr import Call, FunctionExpr, Mul, Pow, const_expr, maximum, minimum
+from .expr import Call, combine, const_expr, maximum, minimum
 from .parser import parse_expr
 from .quadrature import (
     DEFAULT_CONFIG,
-    QuadConfig,
     effective_radius,
-    find_sign_changes,
     integrate,
     integrate_line,
     lp_norm,
@@ -48,12 +46,10 @@ def _check_p(p):
     return p
 
 
-def _config_for(expr, cfg, osc=None):
+def _config_for(cfg, osc=None):
     if cfg is None:
         cfg = DEFAULT_CONFIG
     if osc is not None and cfg.osc_wavelength is None:
-        from dataclasses import replace
-
         cfg = replace(cfg, osc_wavelength=osc)
     return cfg
 
@@ -67,7 +63,7 @@ class PrimitiveDistribution:
         self.p = _check_p(p)
         self.F = F
         self.osc_wavelength = osc_wavelength
-        cfg = _config_for(F, cfg, osc_wavelength)
+        cfg = _config_for(cfg, osc_wavelength)
         self.norm = lp_norm(F, self.p, cfg) if _norm is None else float(_norm)
 
     # -- linear structure (isometric to L^p on primitives) -------------------
@@ -107,11 +103,6 @@ class PrimitiveDistribution:
         """a.e. equality of primitives: ||F1 - F2||_p <= tol."""
         o = self._same(other)
         return lp_norm(self.F - o.F, self.p, cfg) <= tol
-
-
-def make_distribution(F, p, cfg=None, osc_wavelength=None):
-    """Construct f = F' in L'^p, verifying F in L^p by computing its norm."""
-    return PrimitiveDistribution(F, p, cfg=cfg, osc_wavelength=osc_wavelength)
 
 
 class Multiplier:
@@ -177,14 +168,6 @@ class Multiplier:
         return out
 
 
-def multiplier_norm(G):
-    return G.norm
-
-
-def norm(f):
-    return f.norm
-
-
 def pair(f, G, cfg=None):
     """The integral of fG = -integral of F(x) g(x) dx."""
     if not isinstance(f, PrimitiveDistribution):
@@ -192,7 +175,7 @@ def pair(f, G, cfg=None):
     q = conjugate(f.p)
     if not math.isclose(G.q, q, rel_tol=1e-12) and not (G.q == q == math.inf):
         raise ExponentError(f"multiplier exponent {G.q} is not conjugate to p={f.p}")
-    cfg = _config_for(f.F, cfg, f.osc_wavelength)
+    cfg = _config_for(cfg, f.osc_wavelength)
     integrand = f.F * G.g
     return -integrate_line(integrand, cfg).value
 
@@ -208,30 +191,11 @@ def dual_norm(f, cfg=None):
     if n == 0.0:
         return 0.0
     F = f.F
-    if f.p == 1.0:
-        root = Call("sgn", F.root)
-        decay = ("none",)
-    else:
-        root = Mul(
-            Mul(Call("sgn", F.root), Pow(Call("abs", F.root), f.p - 1.0)),
-            _const_node(n ** (1.0 - f.p)),
-        )
-        decay = F.decay if F.decay[0] != "power" else ("power", F.decay[1] * (f.p - 1.0))
-    witness = FunctionExpr(
-        root,
-        singularities=F.singularities,
-        kinks=F.kinks,
-        support=F.support,
-        decay=decay,
-    )
+    witness = combine(Call("sgn", F.root), F)
+    if f.p != 1.0:
+        witness = witness * abs(F).power(f.p - 1.0) * n ** (1.0 - f.p)
     mult = Multiplier(witness, conjugate(f.p), cfg=cfg)
     return abs(pair(f, mult, cfg=cfg))
-
-
-def _const_node(v):
-    from .expr import Const
-
-    return Const(v)
 
 
 def translate(f, t):
@@ -240,7 +204,7 @@ def translate(f, t):
     if t == 0.0:
         return f
     return PrimitiveDistribution(
-        f.F.translate(t), f.p, osc_wavelength=f.osc_wavelength
+        f.F.affine(1.0, -t), f.p, osc_wavelength=f.osc_wavelength
     )
 
 
@@ -292,7 +256,7 @@ def reconstruct(f, x, n, cfg=None):
     """
     if n <= 0 or n <= -x:
         raise LprimError("reconstruct needs n > max(0, -x)")
-    cfg = _config_for(f.F, cfg, f.osc_wavelength)
+    cfg = _config_for(cfg, f.osc_wavelength)
     a = -integrate(f.F, -2.0 * n, -1.0 * n, cfg).value / n
     b = n * integrate(f.F, x, x + 1.0 / n, cfg).value
     return a + b
@@ -322,13 +286,7 @@ class DeltaTrain:
         if self.atoms:
             lo = min(x for _, x, _ in self.atoms)
             hi = max(y for _, _, y in self.atoms)
-            sigma = FunctionExpr(
-                sigma.root,
-                singularities=sigma.singularities,
-                kinks=sigma.kinks,
-                support=(lo, hi),
-                decay=("compact",),
-            )
+            sigma = replace(sigma, support=(lo, hi), decay=("compact",))
         return sigma
 
     def norm(self, p, cfg=None):
@@ -357,7 +315,7 @@ def step_approximate(f, n, cfg=None):
     """
     if n < 1:
         raise LprimError("step_approximate needs n >= 1")
-    cfg = _config_for(f.F, cfg, f.osc_wavelength)
+    cfg = _config_for(cfg, f.osc_wavelength)
     F = f.F
     if F.support is not None:
         lo, hi = F.support
@@ -454,7 +412,7 @@ def membership_check(f_pointwise, p, alpha, cfg=None, osc_wavelength=None):
     p = _check_p(p)
     if not alpha > 1.0 / p:
         raise ExponentError(f"membership needs alpha > 1/p = {1.0 / p}")
-    cfg = _config_for(f_pointwise, cfg, osc_wavelength)
+    cfg = _config_for(cfg, osc_wavelength)
     weight = abs(parse_expr("x")).power(alpha)
     weighted = weight * f_pointwise
 
@@ -499,7 +457,7 @@ def weak_vanishing_bound(f, G, M, N, eps, cfg=None, samples=20_001):
         raise LprimError("weak_vanishing_bound needs 0 < M < N")
     if eps <= 0:
         raise LprimError("eps must be positive")
-    cfg = _config_for(f.F, cfg, f.osc_wavelength)
+    cfg = _config_for(cfg, f.osc_wavelength)
     xs = np.linspace(M, N, samples)
     for s in f.F.singularities:
         xs[np.isclose(xs, s, rtol=0.0, atol=1e-300)] += (N - M) * 1e-9
@@ -522,5 +480,5 @@ def gateaux_profile(f, g, t_grid, cfg=None):
     f._same(g)
     if not 1.0 < f.p < math.inf:
         raise ExponentError("gateaux_profile needs 1 < p < oo")
-    cfg = _config_for(f.F, cfg, f.osc_wavelength)
+    cfg = _config_for(cfg, f.osc_wavelength)
     return [lp_norm(f.F + g.F * float(t), f.p, cfg) for t in t_grid]

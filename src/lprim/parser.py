@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
+
+import numpy as np
 
 from .errors import ParseError
 from .expr import (
@@ -223,7 +226,10 @@ def _const_fold(node):
             return None if b is None else b ** node.expo
         if isinstance(node, Call):
             a = _const_fold(node.arg)
-            return None if a is None else float(node.ev(0.0))
+            if a is None:
+                return None
+            with np.errstate(all="ignore"):
+                return float(node.ev(0.0))
     except (ZeroDivisionError, OverflowError, ValueError):
         return None
     return None
@@ -237,6 +243,5 @@ def parse_expr(text):
     if p.declared_sing:
         sing = tuple(sorted(set(f.singularities) | set(p.declared_sing)))
         kinks = tuple(k for k in f.kinks if k not in sing)
-        f = FunctionExpr(f.root, singularities=sing, kinks=kinks,
-                         support=f.support, decay=f.decay)
+        f = replace(f, singularities=sing, kinks=kinks)
     return f

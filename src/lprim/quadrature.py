@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceError, IntegrabilityError, LprimError
 from .expr import decay_mul, growth
@@ -735,7 +736,7 @@ def lp_norm(f, p, cfg=None, extra_splits=()):
 
 
 def sup_norm(f, cfg=None):
-    """Supremum of |f|: grid scan plus golden-section refinement.
+    """Supremum of |f|: grid scan plus bounded Brent refinement.
 
     A lower-bound estimator, refined until stable to rel_tol.  Declared
     singular points are treated as potentially unbounded and refused.
@@ -759,25 +760,10 @@ def sup_norm(f, cfg=None):
     vals = np.where(np.isfinite(vals), vals, 0.0)
     best = float(vals.max())
     # refine around the top local maxima
-    idx = np.argsort(vals)[-8:]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    for i in idx:
+    for i in np.argsort(vals)[-8:]:
         lo = xs[max(int(i) - 1, 0)]
         hi = xs[min(int(i) + 1, n)]
-        c = hi - phi * (hi - lo)
-        d = lo + phi * (hi - lo)
-        fc = abs(f(c))
-        fd = abs(f(d))
-        for _ in range(200):
-            if hi - lo < 1e-13 * max(1.0, abs(hi)):
-                break
-            if fc < fd:
-                lo, c, fc = c, d, fd
-                d = lo + phi * (hi - lo)
-                fd = abs(f(d))
-            else:
-                hi, d, fd = d, c, fc
-                c = hi - phi * (hi - lo)
-                fc = abs(f(c))
-        best = max(best, fc, fd)
+        res = minimize_scalar(lambda x: -abs(f(x)), bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-13 * max(1.0, abs(hi))})
+        best = max(best, -res.fun)
     return best

@@ -11,11 +11,9 @@ import random
 from dataclasses import dataclass
 
 from .convolution import conv_lq, incompatibility_exhibit, star
-from .corpus import corpus_members, sobolev_gn
+from .corpus import corpus_members
 from .errors import LprimError
-from .expr import FunctionExpr
 from .fourier import dfhat_vs_hatdf_exhibit, fourier, inner_product, parseval_check
-from .higher import norm_comparison_example
 from .lpspace import (
     Multiplier,
     PrimitiveDistribution,
@@ -32,7 +30,7 @@ from .poisson import (
     harmonic_extension,
     harmonicity_residual,
 )
-from .quadrature import DEFAULT_CONFIG, integrate_line, lp_norm
+from .quadrature import integrate_line, lp_norm
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from lprim.convolution import (
     conv_lq,
     conv_multiplier,
     incompatibility_exhibit,
-    reflect_about,
     star,
 )
 from lprim.errors import ExponentError, LprimError
@@ -24,7 +23,7 @@ def dist(src, p):
 class TestReflect:
     def test_values_and_metadata(self):
         F = parse_expr("indicator(0,1)")
-        R = reflect_about(F, 0.5)
+        R = F.affine(-1.0, 0.5)
         # F(0.5 - y) = chi_(0,1)(0.5 - y) = chi_(-0.5,0.5)(y)
         assert R.support == (-0.5, 0.5)
         import numpy as np

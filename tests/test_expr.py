@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lprim.errors import LprimError
+from lprim.corpus import corpus, tent
+from lprim.errors import JetError, LprimError
 from lprim.expr import FunctionExpr, Wrapped, maximum, minimum
 from lprim.parser import parse_expr
+from lprim.parser import parse_expr as P
 
 
 def vals(e, xs):
@@ -83,13 +85,13 @@ class TestMetadata:
 
 class TestTransforms:
     def test_translate(self):
-        e = parse_expr("indicator(0,1)").translate(2.0)
+        e = parse_expr("indicator(0,1)").affine(1.0, -2.0)
         assert vals(e, [0.5, 2.5])[0] == 0.0
         assert vals(e, [2.5])[0] == 1.0
         assert e.support == (2.0, 3.0)
 
     def test_dilate_preserves_mass_shape(self):
-        e = parse_expr("exp(-x^2)").dilate(0.5)
+        e = parse_expr("exp(-x^2)").affine(2.0, 0.0) * 2.0
         x = 0.3
         assert vals(e, [x])[0] == pytest.approx(2.0 * math.exp(-(2 * x) ** 2))
 
@@ -122,7 +124,303 @@ class TestJets:
         assert j[0] == pytest.approx(0.5)
         assert j[1] == pytest.approx(-0.5)
 
+    def test_jet_refused_at_feature_point_and_on_nonfinite(self):
+        with pytest.raises(JetError):
+            parse_expr("abs(x)").eval_jet(0.0, 1)
+        with pytest.raises(JetError):
+            parse_expr("sqrt(x)").eval_jet(-1.0, 0)
+        with pytest.raises(JetError):
+            parse_expr("exp(-x^2)").eval_jet(0.0, 5)
+
     def test_wrapped_not_differentiable(self):
         w = FunctionExpr.from_node(Wrapped(lambda xs: xs, name="id"))
         with pytest.raises(LprimError):
             w.diff()
+
+
+def C(name, *params):
+    """A corpus primitive by name."""
+    return tent().expr if name == "tent" else corpus(name, *params)
+
+
+# expression -> (singularities, kinks, support, decay).  Parsed trees and
+# operator-built ones take their metadata from the same per-node rules.
+METADATA_TABLE = [
+    ('corpus:indicator', lambda: C('indicator'),
+     (), (0.0, 1.0), (0.0, 1.0), ('compact',)),
+    ('corpus:gaussian', lambda: C('gaussian'),
+     (), (), None, ('gaussian',)),
+    ('corpus:power_tail(2.5)', lambda: C('power_tail', 2.5),
+     (), (0.0,), None, ('power', 1.5)),
+    ('corpus:power_tail(4)', lambda: C('power_tail', 4.0),
+     (), (0.0,), None, ('power', 3.0)),
+    ('corpus:sin_over_abs', lambda: C('sin_over_abs'),
+     (0.0,), (), None, ('power', 1.0)),
+    ('corpus:gamma_cusp', lambda: C('gamma_cusp', 0.25),
+     (0.0,), (), None, ('exponential',)),
+    ('corpus:log_cusp', lambda: C('log_cusp'),
+     (0.0,), (), None, ('exponential',)),
+    ('corpus:cantor', lambda: C('cantor_primitive'),
+     (), (), None, ('gaussian',)),
+    ('corpus:weierstrass', lambda: C('weierstrass'),
+     (), (), None, ('gaussian',)),
+    ('corpus:tent', lambda: C('tent'),
+     (), (0.0, 1.0, 2.0), (0.0, 2.0), ('compact',)),
+    ('corpus:osc_exp_cube', lambda: C('osc_exp_cube'),
+     (), (0.0,), None, ('power', 2.0)),
+    ('corpus:x2_sin_inv4', lambda: C('x2_sin_inv4'),
+     (0.0,), (-1.0, 1.0), (-1.0, 1.0), ('compact',)),
+    ('corpus:sobolev_gn', lambda: C('sobolev_gn', 0.5, 2.0),
+     (), (0.0, 0.5, 1.0), (0.0, 1.0), ('compact',)),
+    ('density:exp(-x^2)', lambda: P('exp(-x^2)'),
+     (), (), None, ('gaussian',)),
+    ('density:exp(-abs(x))', lambda: P('exp(-abs(x))'),
+     (), (0.0,), None, ('exponential',)),
+    ('density:indicator(-1,2)', lambda: P('indicator(-1,2)'),
+     (), (-1.0, 2.0), (-1.0, 2.0), ('compact',)),
+    ('density:(x^2+1)^(-1)', lambda: P('(x^2+1)^(-1)'),
+     (), (), None, ('power', 2.0)),
+    ('density:cos(x)*exp(-x^2)', lambda: P('cos(x)*exp(-x^2)'),
+     (), (), None, ('gaussian',)),
+    ('density:x*exp(-x^2)', lambda: P('x*exp(-x^2)'),
+     (), (), None, ('gaussian',)),
+    ('young:x*exp(-x^2)', lambda: P('x*exp(-x^2)'),
+     (), (), None, ('gaussian',)),
+    ('young:tentexpr', lambda: P('indicator(-1,1)*(1-abs(x))'),
+     (), (-1.0, 0.0, 1.0), (-1.0, 1.0), ('compact',)),
+    ('young:-2*x*exp(-x^2)', lambda: P('-2*x*exp(-x^2)'),
+     (), (), None, ('gaussian',)),
+    ('young:indicator(0,2)', lambda: P('indicator(0,2)'),
+     (), (0.0, 2.0), (0.0, 2.0), ('compact',)),
+    ('parse:gauss*box', lambda: P('exp(-x^2)*indicator(0,1)'),
+     (), (0.0, 1.0), (0.0, 1.0), ('compact',)),
+    ('op:gauss*box', lambda: P('exp(-x^2)') * P('indicator(0,1)'),
+     (), (0.0, 1.0), (0.0, 1.0), ('compact',)),
+    ('op:box*expabs', lambda: P('indicator(0,1)') * P('exp(-abs(x))'),
+     (), (0.0, 1.0), (0.0, 1.0), ('compact',)),
+    ('op:gauss*rational', lambda: P('exp(-x^2)') * P('(x^2+1)^(-1)'),
+     (), (), None, ('gaussian',)),
+    ('op:powertail*x', lambda: P('(abs(x)+1)^(-2.5)') * P('x'),
+     (), (0.0,), None, ('power', 1.5)),
+    ('op:x*x', lambda: P('x') * P('x'),
+     (), (), None, ('none',)),
+    ('op:box*box', lambda: P('indicator(0,1)') * P('indicator(2,3)'),
+     (), (0.0, 1.0, 2.0, 3.0), (2.0, 2.0), ('compact',)),
+    ('op:box+gauss', lambda: P('indicator(0,1)') + P('exp(-x^2)'),
+     (), (0.0, 1.0), None, ('gaussian',)),
+    ('op:box-box', lambda: P('indicator(0,1)') - P('indicator(2,3)'),
+     (), (0.0, 1.0, 2.0, 3.0), (0.0, 3.0), ('compact',)),
+    ('op:F*2.5', lambda: P('x*(abs(x)+1)^(-2.5)') * 2.5,
+     (), (0.0,), None, ('power', 1.5)),
+    ('op:2.5*F', lambda: 2.5 * P('sing(log(abs(x)), 0)*exp(-abs(x))'),
+     (0.0,), (), None, ('exponential',)),
+    ('op:F*0', lambda: P('exp(-x^2)') * 0.0,
+     (), (), (0.0, 0.0), ('compact',)),
+    ('op:F+1', lambda: P('exp(-x^2)') + 1.0,
+     (), (), None, ('none',)),
+    ('op:-F', lambda: -P('indicator(0,1)*x'),
+     (), (0.0, 1.0), (0.0, 1.0), ('compact',)),
+    ('op:cusp*box', lambda: P('sing(abs(x)^(-0.5), 0)*exp(-abs(x))') * P('indicator(0,1)'),
+     (0.0,), (1.0,), (0.0, 1.0), ('compact',)),
+    ('parse:sin/abs', lambda: P('sin(x)/abs(x)'),
+     (0.0,), (), None, ('power', 1.0)),
+    ('parse:1/(x-1)', lambda: P('1/(x-1)'),
+     (1.0,), (), None, ('power', 1.0)),
+    ('parse:gauss/(x^2+1)', lambda: P('exp(-x^2)/(x^2+1)'),
+     (), (), None, ('none',)),
+    ('parse:1/(x^2+1)', lambda: P('1/(x^2+1)'),
+     (), (), None, ('power', 2.0)),
+    ('parse:x/(x^2+1)', lambda: P('x/(x^2+1)'),
+     (), (), None, ('none',)),
+    ('parse:box/x', lambda: P('indicator(1,2)/x'),
+     (0.0,), (1.0, 2.0), None, ('compact',)),
+    ('parse:(x+2)^(-1)', lambda: P('(x+2)^(-1)'),
+     (-2.0,), (), None, ('power', 1.0)),
+    ('parse:piecewise', lambda: P('piecewise(x < 0 -> -x, x < 1 -> x^2, else -> 1)'),
+     (), (0.0, 1.0), None, ('none',)),
+    ('parse:piecewise-box',
+     lambda: P('piecewise(x < 0 -> 0, x < 1 -> indicator(-1,2), else -> 0)'),
+     (), (-1.0, 0.0, 1.0, 2.0), None, ('compact',)),
+    ('parse:abs(x)', lambda: P('abs(x)'),
+     (), (0.0,), None, ('none',)),
+    # abs adds the kink at a syntactic zero on both paths
+    ('op:abs(x)', lambda: abs(P('x')),
+     (), (0.0,), None, ('none',)),
+    ('op:abs(x-1)', lambda: abs(P('x-1')),
+     (), (1.0,), None, ('none',)),
+    ('op:abs(box)', lambda: abs(P('indicator(0,1)')),
+     (), (0.0, 1.0), (0.0, 1.0), ('compact',)),
+    # abs keeps its argument's support on both paths
+    ('parse:abs(box)', lambda: P('abs(indicator(0,1))'),
+     (), (0.0, 1.0), (0.0, 1.0), ('compact',)),
+    ('op:abs(powertail)', lambda: abs(P('x*(abs(x)+1)^(-2.5)')),
+     (), (0.0,), None, ('power', 1.5)),
+    ('parse:sqrt(abs(x))', lambda: P('sqrt(abs(x))'),
+     (), (0.0,), None, ('none',)),
+    ('parse:abs(x)^0.5', lambda: P('abs(x)^0.5'),
+     (), (0.0,), None, ('none',)),
+    ('op:abs(x)^0.75', lambda: abs(P('x')).power(0.75),
+     (), (0.0,), None, ('none',)),
+    ('op:abs(x)^2', lambda: abs(P('x')).power(2.0),
+     (), (0.0,), None, ('none',)),
+    ('op:gauss^2', lambda: P('exp(-x^2)').power(2.0),
+     (), (), None, ('gaussian',)),
+    ('op:abs(powertail)^1.5', lambda: abs(P('x*(abs(x)+1)^(-2.5)')).power(1.5),
+     (), (0.0,), None, ('power', 2.25)),
+    ('op:abs(sinabs)^2', lambda: abs(P('sin(x)/abs(x)')).power(2.0),
+     (0.0,), (), None, ('power', 2.0)),
+    ('op:abs(box)^3', lambda: abs(P('indicator(0,1)')).power(3.0),
+     (), (0.0, 1.0), (0.0, 1.0), ('compact',)),
+    ('parse:log(abs(x-2))', lambda: P('log(abs(x-2))'),
+     (2.0,), (), None, ('none',)),
+    ('parse:sgn(x)', lambda: P('sgn(x)'),
+     (), (0.0,), None, ('none',)),
+    ('op:max(x,0x)', lambda: maximum(P('x'), P('0*x')),
+     (), (), None, ('none',)),
+    ('op:min(x,0x)', lambda: minimum(P('x'), P('0*x')),
+     (), (), None, ('none',)),
+    ('op:min(gauss,box)', lambda: minimum(P('exp(-x^2)'), P('indicator(0,1)')),
+     (), (0.0, 1.0), None, ('gaussian',)),
+    ('op:max(box,box2)', lambda: maximum(P('indicator(0,1)'), P('indicator(0.5,2)')),
+     (), (0.0, 0.5, 1.0, 2.0), (0.0, 2.0), ('compact',)),
+    ('op:max(cusp,gauss)',
+     lambda: maximum(P('sing(log(abs(x)), 0)*exp(-abs(x))'), P('exp(-x^2)')),
+     (0.0,), (), None, ('exponential',)),
+    ('diff:gauss', lambda: P('exp(-x^2)').diff(),
+     (), (), None, ('gaussian',)),
+    ('diff:box', lambda: P('indicator(0,1)').diff(),
+     (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), ('compact',)),
+    ('diff:abs(x)', lambda: P('abs(x)').diff(),
+     (0.0,), (0.0,), None, ('none',)),
+    ('diff:tent', lambda: C('tent').diff(),
+     (0.0, 1.0, 2.0), (0.0, 1.0, 2.0), (0.0, 2.0), ('compact',)),
+    ('diff:powertail', lambda: P('x*(abs(x)+1)^(-2.5)').diff(),
+     (0.0,), (0.0,), None, ('power', 1.5)),
+    ('diff2:x2', lambda: P('x^2').diff().diff(),
+     (), (), None, ('none',)),
+    ('translate:box+2', lambda: P('indicator(0,1)').affine(1.0, -2.0),
+     (), (2.0, 3.0), (2.0, 3.0), ('compact',)),
+    ('translate:gauss-1.5', lambda: P('exp(-x^2)').affine(1.0, 1.5),
+     (), (), None, ('gaussian',)),
+    ('translate:rational+1.88', lambda: P('(x^2+1)^(-1)').affine(1.0, -1.88),
+     (), (), None, ('power', 2.0)),
+    ('translate:logcusp+0.3', lambda: P('sing(log(abs(x)), 0)*exp(-abs(x))').affine(1.0, -0.3),
+     (0.3,), (), None, ('exponential',)),
+    ('translate:tent-0.7', lambda: C('tent').affine(1.0, 0.7),
+     (), (-0.7, 0.30000000000000004, 1.3), (-0.7, 1.3), ('compact',)),
+    ('dilate:box*0.5', lambda: P('indicator(0,1)').affine(2.0, 0.0) * 2.0,
+     (), (0.0, 0.5), (0.0, 0.5), ('compact',)),
+    ('dilate:gauss*3', lambda: P('exp(-x^2)').affine((1 / 3), 0.0) * (1 / 3),
+     (), (), None, ('gaussian',)),
+    ('dilate:cusp*0.25', lambda: P('abs(x-1)^(-0.25)*exp(-abs(x))').affine(4.0, 0.0) * 4.0,
+     (0.25,), (0.0,), None, ('exponential',)),
+    ('reflect:box@0.5', lambda: P('indicator(0,1)').affine(-1.0, 0.5),
+     (), (-0.5, 0.5), (-0.5, 0.5), ('compact',)),
+    ('reflect:cusp@0.5', lambda: P('sing(abs(x)^(-0.5), 0)*exp(-abs(x))').affine(-1.0, 0.5),
+     (0.5,), (), None, ('exponential',)),
+    ('reflect:tent@-1.25', lambda: C('tent').affine(-1.0, -1.25),
+     (), (-3.25, -2.25, -1.25), (-3.25, -1.25), ('compact',)),
+    ('reflect:powertail@2', lambda: P('x*(abs(x)+1)^(-2.5)').affine(-1.0, 2.0),
+     (), (2.0,), None, ('power', 1.5)),
+    ('dilate:box*3', lambda: P('indicator(0,1)').affine((1 / 3), 0.0) * (1 / 3),
+     (), (0.0, 3.0), (0.0, 3.0), ('compact',)),
+    ('dilate:tent*0.3', lambda: C('tent').affine((1 / 0.3), 0.0) * (1 / 0.3),
+     (), (0.0, 0.3, 0.6), (0.0, 0.6), ('compact',)),
+]
+
+
+class TestMetadataTable:
+    @pytest.mark.parametrize("label,build,sing,kinks,support,decay", METADATA_TABLE,
+                             ids=[row[0] for row in METADATA_TABLE])
+    def test_metadata(self, label, build, sing, kinks, support, decay):
+        e = build()
+        assert (e.singularities, e.kinks, e.support, e.decay) == (sing, kinks, support, decay)
+
+    def test_parser_and_operators_agree(self):
+        for src, built in [
+            ("abs(x)", abs(P("x"))),
+            ("abs(indicator(0,1))", abs(P("indicator(0,1)"))),
+            ("exp(-x^2)*indicator(0,1)", P("exp(-x^2)") * P("indicator(0,1)")),
+            ("abs(x)^0.75", abs(P("x")).power(0.75)),
+            ("x*(abs(x)+1)^(-2.5) - exp(-x^2)", P("x*(abs(x)+1)^(-2.5)") - P("exp(-x^2)")),
+        ]:
+            e = P(src)
+            assert (e.singularities, e.kinks, e.support, e.decay) == (
+                built.singularities, built.kinks, built.support, built.decay), src
+
+
+class TestAffine:
+    def test_values_follow_the_map(self):
+        F = P("exp(-x^2)*indicator(-1,2)")
+        G = F.affine(-2.5, 0.75)
+        ts = np.array([-0.6, -0.1, 0.0, 0.2, 0.5])
+        assert G.values(ts) == pytest.approx(F.values(-2.5 * ts + 0.75), abs=1e-15)
+        # the support ends are the preimages of 2 and -1, as in the tree
+        assert G.support == ((2.0 - 0.75) / -2.5, (-1.0 - 0.75) / -2.5)
+
+    def test_identity_and_degenerate(self):
+        F = P("x*exp(-x^2)")
+        assert F.affine(1.0, 0.0) is F
+        with pytest.raises(LprimError):
+            F.affine(0.0, 1.0)
+
+
+# closed forms of (f''', f'''')
+def _gauss_d34(x):
+    g = math.exp(-x * x)
+    return (12 * x - 8 * x ** 3) * g, (16 * x ** 4 - 48 * x * x + 12) * g
+
+
+def _rational_d34(x):
+    r = 1.0 + x * x
+    return 24 * x * (1 - x * x) / r ** 4, 24 * (5 * x ** 4 - 10 * x * x + 1) / r ** 5
+
+
+def _xgauss_d34(x):
+    g = math.exp(-x * x)
+    return (-8 * x ** 4 + 24 * x * x - 6) * g, (16 * x ** 5 - 80 * x ** 3 + 60 * x) * g
+
+
+class TestHigherDerivatives:
+    """x^2 differentiates to 2*x^1, then to a constant: no x^(-1) factor,
+    so the third and fourth derivatives stay finite at 0."""
+
+    CASES = [("exp(-x^2)", _gauss_d34), ("(x^2+1)^(-1)", _rational_d34),
+             ("x*exp(-x^2)", _xgauss_d34)]
+
+    @pytest.mark.parametrize("src,closed", CASES)
+    def test_third_and_fourth_at_zero(self, src, closed):
+        d3 = P(src).diff().diff().diff()
+        d4 = d3.diff()
+        want3, want4 = closed(0.0)
+        assert d3(0.0) == pytest.approx(want3, abs=1e-14)
+        assert d4(0.0) == pytest.approx(want4, abs=1e-14)
+        assert d3.values([0.0])[0] == pytest.approx(want3, abs=1e-14)
+        assert d4.values([0.0])[0] == pytest.approx(want4, abs=1e-14)
+
+    @pytest.mark.parametrize("src,closed", CASES)
+    def test_third_and_fourth_off_zero(self, src, closed):
+        xs = np.array([-1.3, -0.2, 0.7, 2.1])
+        d3 = P(src).diff().diff().diff()
+        d4 = d3.diff()
+        want = np.array([closed(x) for x in xs])
+        assert d3.values(xs) == pytest.approx(want[:, 0], rel=1e-12, abs=1e-14)
+        assert d4.values(xs) == pytest.approx(want[:, 1], rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("src,closed", CASES)
+    def test_eval_jet_matches_closed_forms(self, src, closed):
+        for x in (0.0, 0.7):
+            j = P(src).eval_jet(x, 4)
+            assert j[3] == pytest.approx(closed(x)[0], rel=1e-12, abs=1e-14)
+            assert j[4] == pytest.approx(closed(x)[1], rel=1e-12, abs=1e-14)
+
+
+class TestConstantSubtrees:
+    def test_division_by_zero_gives_inf_not_an_exception(self):
+        e = P("x/(2 - 2)")
+        assert math.isinf(e(0.5))
+        assert np.isinf(e.values([0.5, 1.5])).all()
+
+    def test_constant_broadcasts(self):
+        out = P("2.5").values(np.zeros((2, 3)))
+        assert out.shape == (2, 3) and (out == 2.5).all()

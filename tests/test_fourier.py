@@ -118,7 +118,7 @@ class TestIdentities:
 class TestParseval:
     def test_gaussian_pair(self):
         f = dist("exp(-x^2)", 2.0)
-        g = PrimitiveDistribution(f.F.translate(1.0), 2.0)
+        g = PrimitiveDistribution(f.F.affine(1.0, -1.0), 2.0)
         lhs, rhs = parseval_check(f, g)
         assert lhs == pytest.approx(rhs, abs=1e-6)
         # oracle: int e^{-x^2} e^{-(x-1)^2} dx = sqrt(pi/2) e^{-1/2}

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lprim.errors import ExponentError, LprimError
@@ -9,6 +10,7 @@ from lprim.parser import parse_expr
 from lprim.poisson import (
     HalfPlanePoint,
     _kernel_expr,
+    _kernel_n,
     boundary_convergence,
     extension_n,
     harmonic_extension,
@@ -41,6 +43,23 @@ class TestKernel:
         x, y = 0.5, 1.0
         expected = -(y / math.pi) * 2 * x / (x * x + y * y) ** 2
         assert d1 == pytest.approx(expected, abs=1e-12)
+
+    def test_kernel_dx_closed_forms(self):
+        # d^n/dx^n of (y/pi)/r with r = x^2 + y^2, n = 0..4
+        def closed(x, y, n):
+            c, r = y / math.pi, x * x + y * y
+            return (c / r, -2 * c * x / r ** 2, c * (6 * x * x - 2 * y * y) / r ** 3,
+                    24 * c * x * (y * y - x * x) / r ** 4,
+                    24 * c * (5 * x ** 4 - 10 * x * x * y * y + y ** 4) / r ** 5)[n]
+
+        xs = (-3.0, -0.7, 0.0, 0.25, 1.9)
+        for n in range(5):
+            for y in (0.05, 0.3, 1.0, 4.0):
+                want = [closed(x, y, n) for x in xs]
+                got = [kernel_dx(HalfPlanePoint(x, y), n) for x in xs]
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+                assert _kernel_n(y, n).values(np.array(xs)) == pytest.approx(
+                    want, rel=1e-12, abs=1e-15)
 
     def test_upper_half_plane_only(self):
         with pytest.raises(LprimError):
