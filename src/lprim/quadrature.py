@@ -11,6 +11,11 @@ One engine serves every integral: a family of integrals (a convolution
 sampled at many x, say) shares one panel pool, each integral keeping its
 own split points and stopping rule, and a single integral is the family
 with one owner.
+
+Fourier integrals, the integral of f(x) e^{-isx} dx at many s, take a
+Filon-Legendre rule instead (``fourier_integral``): f is sampled once on
+Legendre panels adapted to f alone, and the oscillation is integrated
+exactly, so neither the work nor the error grows with s.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.special import spherical_jn as _sp_spherical_jn
 
 from .errors import ConvergenceError, IntegrabilityError, LprimError
 from .expr import decay_mul, growth
@@ -678,6 +684,263 @@ class ConvolutionValues:
     def at(self, x):
         """The value at one point."""
         return float(self(np.array([float(x)]))[0])
+
+
+# ---------------------------------------------------------------------------
+# Filon-Legendre rule for Fourier integrals
+#
+# The integrals of f(x) e^{-isx} dx at many s share one sampling of f, on
+# panels adapted to f alone.  On each panel f is replaced by its Legendre
+# series from _FL_N Gauss-Legendre samples, and each P_k is integrated
+# exactly against the oscillation:
+#     integral_{-1}^{1} P_k(t) e^{-iwt} dt = 2 (-i)^k j_k(w),
+# w = s times the panel's half-width.  The error is the series' error,
+# whatever s is.  Chebyshev series would need moments whose recurrence is
+# unstable once k > w; spherical Bessel functions are stable for all k, w.
+
+_FL_N = 32
+_FL_T, _FL_W = np.polynomial.legendre.leggauss(_FL_N)
+# Legendre coefficients of a panel's samples: coef = vals @ _FL_COEF
+_FL_COEF = (np.polynomial.legendre.legvander(_FL_T, _FL_N - 1) * _FL_W[:, None]
+            * (np.arange(_FL_N) + 0.5))
+_FL_MOMENT = 2.0 * (-1j) ** np.arange(_FL_N)
+_FL_TAIL = 4  # the trailing coefficients whose sizes bound a panel's error
+_FL_TERMS = 4  # terms of the asymptotic sum for power-decay tails
+# the tolerance is absolute, as |F^(s)| spans many orders of magnitude over
+# s; for large F it is at least this share of the L^1 mass, near rounding
+_FL_FLOOR = 256 * np.finfo(float).eps
+
+
+def _fl_eval(f, lo, hi):
+    """Legendre coefficients, error bound and L^1 mass of f on each panel
+    [lo, hi]; a non-finite sample makes the error infinite."""
+
+    def panels(lo, hi):
+        h = 0.5 * (hi - lo)
+        xs = (0.5 * (lo + hi))[:, None] + h[:, None] * _FL_T
+        vals = np.asarray(f.values(xs.ravel()), dtype=float).reshape(xs.shape)
+        bad = ~np.isfinite(vals).all(axis=1)
+        vals[bad] = 0.0
+        coef = vals @ _FL_COEF
+        err = np.where(bad, np.inf, 2.0 * h * np.abs(coef[:, -_FL_TAIL:]).sum(axis=1))
+        return coef, err, h * (np.abs(vals) @ _FL_W)
+
+    return _in_chunks(panels, _FL_N, lo, hi)
+
+
+def _fl_segments(f, a, b, cfg, hmax):
+    """Adaptive Legendre panels on the segments [a[j], b[j]], inside which
+    f is smooth.  A segment end at a singular point of f is graded toward
+    by halving, until the piece touching it has half-width at most
+    ``hmax``; those pieces are returned apart, for the tanh-sinh rule.
+    Every other panel is bisected until its Legendre tail meets its share,
+    by width, of the segment's tolerance max(abs_tol, _FL_FLOOR * the
+    L^1 mass of f on the segment).
+
+    Returns (panels, singular pieces, per-segment error, converged, mass):
+    panels as (lo, hi, coef), pieces as (lo, hi)."""
+    sing = set(f.singularities)
+    lo, hi, seg, s_lo, s_hi = [], [], [], [], []
+    for j, (p, q) in enumerate(zip(a, b)):
+        ends = [(p, 0.5 * (p + q)), (0.5 * (p + q), q)] if p in sing and q in sing else [(p, q)]
+        for u, v in ends:
+            if u in sing or v in sing:
+                # pieces of halving width toward the singular end
+                while 0.5 * (v - u) > hmax:
+                    mid = 0.5 * (u + v)
+                    lo.append(mid if u in sing else u)
+                    hi.append(v if u in sing else mid)
+                    seg.append(j)
+                    u, v = (u, mid) if u in sing else (mid, v)
+                s_lo.append(u)
+                s_hi.append(v)
+            else:
+                lo.append(u)
+                hi.append(v)
+                seg.append(j)
+    n = len(a)
+    width = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    seg = np.array(seg, dtype=int)
+    depth = np.zeros(lo.size)
+    coef, err, mass = _fl_eval(f, lo, hi) if lo.size else (
+        np.zeros((0, _FL_N)), np.zeros(0), np.zeros(0))
+    for _ in range(cfg.max_depth + 1):
+        tol = np.maximum(cfg.abs_tol, _FL_FLOOR * np.bincount(seg, mass, n))
+        ok = np.bincount(seg, err, n) <= tol
+        need = (~ok[seg] & (err > tol[seg] * (hi - lo) / width[seg])
+                & (depth < cfg.max_depth))
+        if not need.any() or lo.size + need.sum() > _MAX_PANELS:
+            break
+        mid = 0.5 * (lo[need] + hi[need])
+        new_lo = np.concatenate([lo[need], mid])
+        new_hi = np.concatenate([mid, hi[need]])
+        new = _fl_eval(f, new_lo, new_hi)
+        keep = ~need
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        seg = np.concatenate([seg[keep], np.tile(seg[need], 2)])
+        depth = np.concatenate([depth[keep], np.tile(depth[need] + 1.0, 2)])
+        coef, err, mass = (np.concatenate([old[keep], fresh])
+                           for old, fresh in zip((coef, err, mass), new))
+    seg_err = np.bincount(seg, err, n)
+    return ((lo, hi, coef), (np.array(s_lo, dtype=float), np.array(s_hi, dtype=float)),
+            seg_err, seg_err <= tol, np.bincount(seg, mass, n))
+
+
+def _filon_sum(lo, hi, coef, s):
+    """Sum over the panels of the integral of each panel's Legendre series
+    times e^{-isx}, for every s; panels of equal width share moments."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    weighted = coef * _FL_MOMENT
+    k = np.arange(_FL_N)
+    out = np.zeros(s.size, dtype=complex)
+    for h in np.unique(half):
+        sel = half == h
+        moments = _sp_spherical_jn(k, s[:, None] * h)
+        phase = np.exp(-1j * np.outer(s, mid[sel]))
+        out += h * np.einsum("qk,qk->q", moments, phase @ weighted[sel])
+    return out
+
+
+def _fl_singular(f, lo, hi, s, cfg):
+    """Integrals of f(x) e^{-isx} over the pieces (lo, hi) that touch a
+    singular point, of half-width at most 1/max|s|, by the tanh-sinh rule;
+    one owner per (piece, s, cos or sin part)."""
+    m, q = lo.size, s.size
+    piece = np.repeat(np.arange(m), 2 * q)
+    si = np.tile(np.repeat(np.arange(q), 2), m)
+    sine = np.tile([False, True], m * q)
+
+    def fn(j, ys):
+        ang = s[si[j]] * ys
+        return f.values(ys) * np.where(sine[j], -np.sin(ang), np.cos(ang))
+
+    r = _tanh_sinh(fn, np.arange(2 * m * q), lo[piece], hi[piece], cfg)
+    v = r.value.reshape(m, q, 2).sum(axis=0)
+    return (v[:, 0] + 1j * v[:, 1], r.err_est.reshape(m, q, 2).sum(axis=(0, 2)),
+            r.converged.reshape(m, q, 2).all(axis=(0, 2)))
+
+
+def _asymptotic_tails(f, s, r, cfg):
+    """Both tails beyond |x| = R of the integral of f(x) e^{-isx} dx for a
+    power-decay f, by the asymptotic sum
+        e^{-isR} sum_k f^(k)(R) / (is)^(k+1) - e^{isR} sum_k f^(k)(-R) / (is)^(k+1),
+    k < K, whose remainder is at most integral_{|x|>R} |f^(K)| / |s|^K,
+    estimated as (|f^(K)(R)| + |f^(K)(-R)|) R / (beta + K - 1) / |s|^K.
+    R doubles from r until the remainder at the smallest |s| is within
+    abs_tol / 4; past truncation_radius it raises ConvergenceError.
+    Returns (R, tails, remainder per s)."""
+    beta = f.decay[1]
+    if beta <= 1.0:
+        raise IntegrabilityError(f"power decay beta={beta} <= 1: line integral diverges")
+    derivs = [f]
+    try:
+        while len(derivs) <= _FL_TERMS:
+            derivs.append(derivs[-1].diff())
+    except LprimError:
+        pass  # a node without a symbolic derivative: fewer terms
+    K = len(derivs) - 1
+    # every candidate R at once: one evaluation per derivative
+    Rs = r * 2.0 ** np.arange(max(0, int(np.log2(cfg.truncation_radius / r))) + 1)
+    vals = np.array([d.values(np.concatenate([Rs, -Rs])) for d in derivs])
+    vals = vals.reshape(K + 1, 2, Rs.size)
+    bound = np.abs(vals[K]).sum(axis=0) * Rs / (beta + K - 1.0)
+    fit = np.isfinite(vals).all(axis=(0, 1)) & (bound <= 0.25 * cfg.abs_tol * np.min(np.abs(s)) ** K)
+    if not fit.any():
+        raise ConvergenceError(
+            f"power-decay tail not within tolerance inside |x| <= {cfg.truncation_radius:g}")
+    i = int(np.argmax(fit))
+    R = Rs[i]
+    inv = 1.0 / (1j * s[:, None]) ** np.arange(1, K + 1)  # (q, K)
+    tails = (np.exp(-1j * s * R) * (inv @ vals[:K, 0, i])
+             - np.exp(1j * s * R) * (inv @ vals[:K, 1, i]))
+    return R, tails, bound[i] / np.abs(s) ** K
+
+
+def fourier_integral(f, s, cfg=None):
+    """The integral of f(x) e^{-isx} dx over the line at every s of the
+    array (or scalar) ``s``, all nonzero, from one sampling of f; a
+    FamilyResult with one complex value per s.
+
+    The line splits at f's singular points, kinks and support ends, and the
+    Filon-Legendre rule integrates each panel.  Tails by decay class:
+    compact support needs none; for gaussian and exponential decay, shells
+    [R, 2R] are sampled as the line integrals' shells are, and twice the
+    last shell's mass bounds the rest; power decay takes the asymptotic sum
+    of _asymptotic_tails; decay 'none' is accepted only with vanishing
+    shells.  The error estimate sums the panels' Legendre tails, the
+    tanh-sinh errors and the tail bound.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
+    if not np.all(s != 0.0):
+        raise LprimError("fourier_integral needs s != 0")
+    hmax = 1.0 / np.max(np.abs(s))
+    kind = f.decay[0]
+    feats = np.array(f.feature_points(), dtype=float)
+    tail, tail_err = np.zeros(s.size, dtype=complex), np.zeros(s.size)
+
+    def pieces(a, b):
+        pts = np.concatenate([[a], feats[(feats > a) & (feats < b)], [b]])
+        wide = pts[1:] > pts[:-1]
+        return pts[:-1][wide], pts[1:][wide]
+
+    if f.support is not None:
+        lo = max(f.support[0], -cfg.truncation_radius)
+        a, b = pieces(lo, max(min(f.support[1], cfg.truncation_radius), lo))
+    else:
+        r = effective_radius(f)
+        a, b = pieces(-r, r)
+        if kind == "power":
+            R, tail, tail_err = _asymptotic_tails(f, s, r, cfg)
+            while r < R:  # the shells between r and R
+                a, b = np.append(a, [r, -2 * r]), np.append(b, [2 * r, -r])
+                r *= 2
+    panels, sing, seg_err, seg_ok, _ = _fl_segments(f, a, b, cfg, hmax)
+    parts = [panels]
+    singular = [sing]
+    err = seg_err.sum()
+    ok = bool(seg_ok.all())
+
+    if f.support is None and kind != "power":
+        # gaussian / exponential / none: doubling shells, as _integrate_line
+        prev, quiet = np.nan, 0
+        while True:
+            if r >= cfg.truncation_radius:
+                ok = False
+                break
+            shell, sing, s_err, s_ok, mass = _fl_segments(
+                f, np.array([r, -2 * r]), np.array([2 * r, -r]), cfg, hmax)
+            parts.append(shell)
+            singular.append(sing)
+            err += s_err.sum()
+            ok &= bool(s_ok.all())
+            mass = mass.sum() + s_err.sum()
+            r *= 2
+            if kind == "none":
+                if mass != 0.0:
+                    raise ConvergenceError(
+                        "decay class 'none' with nonzero tails: cannot certify convergence")
+                quiet += 1
+                if quiet >= 2:
+                    break
+                continue
+            if mass < 0.25 * cfg.abs_tol:
+                if prev >= mass or quiet >= 1:
+                    err += 2 * mass
+                    break
+                quiet += 1
+            prev = mass
+
+    lo, hi, coef = (np.concatenate(c) for c in zip(*parts))
+    value = _filon_sum(lo, hi, coef, s) + tail
+    err = err + tail_err
+    conv = np.full(s.size, ok)
+    s_lo, s_hi = (np.concatenate(c) for c in zip(*singular))
+    if s_lo.size:
+        v, e, c = _fl_singular(f, s_lo, s_hi, s, cfg)
+        value, err, conv = value + v, err + e, conv & c
+    return FamilyResult(value, err, conv)
 
 
 def find_sign_changes(f, a, b, n=2048):

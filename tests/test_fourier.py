@@ -2,10 +2,13 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from lprim.convolution import conv_lq
-from lprim.errors import ExponentError, IntegrabilityError
+from lprim.errors import ConvergenceError, ExponentError, IntegrabilityError
+from lprim.expr import FunctionExpr
 from lprim.fourier import (
     ComplexValue,
     dfhat_vs_hatdf_exhibit,
@@ -20,6 +23,7 @@ from lprim.fourier import (
 from lprim.higher import NthDistribution
 from lprim.lpspace import PrimitiveDistribution
 from lprim.parser import parse_expr
+from lprim.quadrature import QuadConfig, fourier_integral
 
 
 def dist(src, p):
@@ -52,6 +56,106 @@ class TestPrimitiveTransform:
         # the computed value must be tiny and far below the s=10 value
         assert v60 < 1e-18
         assert v60 < v10 * 1e-6
+
+
+SQRT_PI = math.sqrt(math.pi)
+# F^(s) in closed form for the benchmark's primitives
+CLOSED = {
+    "indicator(-1,1)": lambda s: 2.0 * math.sin(s) / s,
+    "exp(-x^2)": lambda s: SQRT_PI * math.exp(-s * s / 4),
+    "x*exp(-x^2)": lambda s: -0.5j * SQRT_PI * s * math.exp(-s * s / 4),
+    "exp(-abs(x))": lambda s: 2.0 / (1.0 + s * s),
+    "(x^2+1)^(-1)": lambda s: math.pi * math.exp(-abs(s)),
+}
+
+
+def count_points(monkeypatch):
+    """Spy on FunctionExpr.values; the returned list holds the points evaluated."""
+    seen = [0]
+    values = FunctionExpr.values
+
+    def spy(self, xs):
+        seen[0] += np.size(xs)
+        return values(self, xs)
+
+    monkeypatch.setattr(FunctionExpr, "values", spy)
+    return seen
+
+
+class TestFilonRule:
+    @pytest.mark.parametrize("y", (0.0, 1.3))
+    @pytest.mark.parametrize("src", sorted(CLOSED))
+    def test_closed_forms_and_error_bounds(self, src, y):
+        # the primitive and its translate by y, whose transform is e^{-isy} F^(s)
+        F = parse_expr(src).affine(1.0, -y)
+        for s in (0.5, 3.0, 49.0, 60.0, 300.0, 1000.0):
+            got = fourier_primitive(F, s)
+            want = cmath.exp(-1j * s * y) * CLOSED[src](s)
+            err = abs(got.as_complex() - want)
+            assert err <= 1e-10, (src, y, s, err)
+            assert err <= got.err_est, (src, y, s, err, got.err_est)
+
+    def test_even_primitive_against_qawf(self):
+        F = parse_expr("(x^4+1)^(-1)")
+        for s in (0.5, 3.0, 10.0):
+            want = 2.0 * quad(lambda x: 1.0 / (x ** 4 + 1.0), 0.0, math.inf,
+                              weight="cos", wvar=s)[0]
+            got = fourier_primitive(F, s)
+            assert got.re == pytest.approx(want, abs=1e-9)
+            assert got.im == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("s", (0.7, 10.0))
+    def test_translated_lorentzian(self, s):
+        y = 1.88
+        f = dist("(x^2+1)^(-1)", 1.0)
+        want = cmath.exp(-1j * s * y) * math.pi * math.exp(-abs(s))
+        got = fourier_primitive(f.F.affine(1.0, -y), s)
+        assert abs(got.as_complex() - want) <= 1e-9
+        lhs, _, _ = translation_modulation(f, y, s)
+        assert abs(lhs.as_complex() - 1j * s * want) <= 1e-9 * s
+
+    def test_singular_primitive(self):
+        # integral of |x|^(-1/2) e^(-x^2) e^(-isx) dx = Gamma(1/4) 1F1(1/4; 1/2; -s^2/4)
+        mp = pytest.importorskip("mpmath")
+        F = parse_expr("abs(x)^(-0.5)*exp(-x^2)")
+        for s in (0.5, 3.0, 60.0):
+            want = float(mp.gamma(0.25) * mp.hyp1f1(0.25, 0.5, -s * s / 4))
+            got = fourier_primitive(F, s)
+            assert abs(got.as_complex() - want) <= max(1e-10, got.err_est)
+
+    def test_array_of_s_shares_one_sampling(self, monkeypatch):
+        F = parse_expr("exp(-abs(x))")
+        seen = count_points(monkeypatch)
+        fourier_primitive(F, 0.5)
+        one = seen[0]
+        ss = np.array([-3.0, 0.5, 7.0, 120.0])
+        seen[0] = 0
+        res = fourier_integral(F, ss)
+        assert seen[0] == one
+        assert res.converged.all()
+        assert np.abs(res.value - 2.0 / (1.0 + ss ** 2)).max() <= 1e-12
+
+    @pytest.mark.parametrize("src", ["exp(-x^2)", "x*exp(-x^2)", "exp(-abs(x))",
+                                     "(x^2+1)^(-1)"])
+    def test_work_flat_in_s(self, src, monkeypatch):
+        F = parse_expr(src)
+        seen = count_points(monkeypatch)
+        points = {}
+        for s in (0.5, 1000.0):
+            seen[0] = 0
+            fourier_primitive(F, s)
+            points[s] = seen[0]
+        assert points[1000.0] <= 1.5 * points[0.5], points
+
+    def test_unmet_tolerance_raises_naming_layer_and_s(self):
+        with pytest.raises(ConvergenceError, match=r"fourier: .*s=3\.0"):
+            fourier_primitive(parse_expr("exp(-x^2)"), 3.0, QuadConfig(max_depth=1))
+
+    def test_err_est_follows_the_factor_is(self):
+        f = dist("exp(-abs(x))", 1.0)
+        Fh = fourier_primitive(f.F, 4.0)
+        assert Fh.err_est > 0.0
+        assert fourier(f, 4.0).err_est == pytest.approx(4.0 * Fh.err_est, rel=1e-12)
 
 
 class TestDistributionTransform:
@@ -108,6 +212,21 @@ class TestIdentities:
         g = parse_expr("exp(-x^2)")
         lhs, rhs = exchange_identity(f, g)
         assert abs(lhs - rhs) <= 1e-8
+
+    def test_exchange_identity_nonzero_sides(self):
+        # F = x e^(-x^2): f^(s) = (sqrt(pi)/2) s^2 e^(-s^2/4), so against
+        # g = e^(-s^2) both sides equal pi / (4 (5/4)^(3/2))
+        lhs, rhs = exchange_identity(dist("x*exp(-x^2)", 1.0), parse_expr("exp(-x^2)"))
+        want = math.pi / (4.0 * 1.25 ** 1.5)
+        assert abs(lhs.as_complex() - want) <= 1e-9
+        assert abs(rhs.as_complex() - want) <= 1e-9
+
+    def test_exchange_identity_work(self, monkeypatch):
+        # the transforms at the outer nodes share one sampling per call: the
+        # Gaussian case evaluated 2.86M points with one integral per node
+        seen = count_points(monkeypatch)
+        exchange_identity(dist("exp(-x^2)", 1.0), parse_expr("exp(-x^2)"))
+        assert seen[0] <= 250_000
 
     def test_exchange_rejects_heavy_weight(self):
         f = dist("exp(-x^2)", 1.0)
