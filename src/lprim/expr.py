@@ -430,11 +430,11 @@ def _neg_arg_decay(arg):
     """Decay class of exp(arg) when arg -> -infinity like -|x|^gamma."""
 
     def power_of(n):
-        # matches |x|^g shapes: x^(2k), abs(x), abs(x - c)^g, positive multiples
+        # matches |x|^g shapes: (x - c)^(2k), abs(x - c)^g, positive multiples
         if isinstance(n, Call) and n.name == "abs" and _zero_of(n.arg) is not None:
             return 1.0
         if isinstance(n, Pow) and n.expo > 0:
-            if isinstance(n.base, Var):
+            if isinstance(n.base, (Var, Add, Sub)) and _zero_of(n.base) is not None:
                 e = n.expo
                 return e if e == int(e) and int(e) % 2 == 0 else None
             inner = power_of(n.base)

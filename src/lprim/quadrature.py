@@ -943,8 +943,21 @@ def fourier_integral(f, s, cfg=None):
     return FamilyResult(value, err, conv)
 
 
+def _scan_size(a, b, cfg, n):
+    """Grid cells for a scan of [a, b]: at least ``n``, and 8 per
+    ``cfg.osc_wavelength`` when one is set, at most 2,000,000."""
+    if cfg.osc_wavelength:
+        n = max(n, int(8 * (b - a) / cfg.osc_wavelength))
+    return min(n, 2_000_000)
+
+
 def find_sign_changes(f, a, b, n=2048):
-    """Zeros of f in (a, b) located by grid scan plus bisection."""
+    """Zeros of f in (a, b) located by grid scan plus bisection.
+
+    Every bracket is bisected at once, one ``f.values`` call per step over
+    the brackets still live.  A bracket takes at most 60 steps; it stops
+    at a non-finite midpoint and collapses onto a midpoint where f is
+    exactly zero."""
     xs = np.linspace(a, b, n + 1)
     # nudge grid points off declared singular points
     for s in f.singularities:
@@ -954,27 +967,24 @@ def find_sign_changes(f, a, b, n=2048):
     vals = np.where(np.isfinite(vals), vals, 0.0)
     sgn = np.sign(vals)
     flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    zeros = []
     # exact grid hits: interior zeros flanked by nonzero values
     exact = np.nonzero((sgn[1:-1] == 0.0) & (sgn[:-2] != 0.0) & (sgn[2:] != 0.0))[0]
-    zeros.extend(float(xs[i + 1]) for i in exact)
-    for i in flips:
-        lo, hi = xs[i], xs[i + 1]
-        flo = vals[i]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = f.values(np.array([mid]))[0]
-            if not np.isfinite(fm):
-                break
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        zeros.append(0.5 * (lo + hi))
-    return zeros
+    lo, hi, flo = xs[flips], xs[flips + 1], vals[flips]
+    live = np.arange(flips.size)
+    for _ in range(60):
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        fm = f.values(mid)
+        zero = fm == 0.0
+        step = np.isfinite(fm) & ~zero
+        right = step & ((fm > 0) == (flo[live] > 0))  # the zero lies right of mid
+        left = step & ~right
+        lo[live[zero | right]] = mid[zero | right]
+        hi[live[zero | left]] = mid[zero | left]
+        flo[live[right]] = fm[right]
+        live = live[step]
+    return xs[exact + 1].tolist() + (0.5 * (lo + hi)).tolist()
 
 
 def lp_norm(f, p, cfg=None, extra_splits=()):
@@ -988,7 +998,7 @@ def lp_norm(f, p, cfg=None, extra_splits=()):
     else:
         r = effective_radius(f)
         a, b = -r, r
-    zeros = find_sign_changes(f, a, b)
+    zeros = find_sign_changes(f, a, b, _scan_size(a, b, cfg, 2048))
     splits = tuple(extra_splits) + tuple(zeros)
     res = integrate_line(integrand, cfg, extra_splits=splits)
     if not res.converged and res.err_est > 10 * max(cfg.abs_tol, cfg.rel_tol * abs(res.value)):
@@ -1014,10 +1024,7 @@ def sup_norm(f, cfg=None):
         if f.decay[0] == "none":
             r = max(r, 64.0)
         a, b = -r, r
-    n = 4096
-    if cfg.osc_wavelength:
-        n = max(n, int(8 * (b - a) / cfg.osc_wavelength))
-    n = min(n, 2_000_000)
+    n = _scan_size(a, b, cfg, 4096)
     xs = np.linspace(a, b, n + 1)
     vals = np.abs(f.values(xs))
     vals = np.where(np.isfinite(vals), vals, 0.0)

@@ -59,6 +59,12 @@ class TestExitCodes:
         assert code == 0
         assert rows(report)["norm"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_norm_of_shifted_gaussian(self):
+        # exp(-(x-1)^2) is tagged gaussian, so its tails are certified
+        report, code = run("norm", "--p", "1", "--f", "exp(-(x-1)^2)")
+        assert code == 0
+        assert rows(report)["norm"] == pytest.approx(math.sqrt(math.pi), abs=1e-10)
+
     def test_usage_error(self):
         report, code = run("norm", "--p", "2")
         assert code == 1

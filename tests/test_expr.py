@@ -326,6 +326,17 @@ METADATA_TABLE = [
      (), (0.0, 3.0), (0.0, 3.0), ('compact',)),
     ('dilate:tent*0.3', lambda: C('tent').affine((1 / 0.3), 0.0) * (1 / 0.3),
      (), (0.0, 0.3, 0.6), (0.0, 0.6), ('compact',)),
+    # even powers of a shifted variable: x - c and x + c have a known zero
+    ('parse:exp(-(x-1)^2)', lambda: P('exp(-(x-1)^2)'),
+     (), (), None, ('gaussian',)),
+    ('parse:exp(-(x+2.5)^4)', lambda: P('exp(-(x+2.5)^4)'),
+     (), (), None, ('gaussian',)),
+    ('parse:x*exp(-(x-1)^2)', lambda: P('x*exp(-(x-1)^2)'),
+     (), (), None, ('gaussian',)),
+    ('parse:exp(-(x-1)^3)', lambda: P('exp(-(x-1)^3)'),
+     (), (), None, ('none',)),
+    ('parse:exp(-(x-1)^2)*box', lambda: P('exp(-(x-1)^2)*indicator(0,1)'),
+     (), (0.0, 1.0), (0.0, 1.0), ('compact',)),
 ]
 
 

@@ -221,6 +221,14 @@ class TestIdentities:
         assert abs(lhs.as_complex() - want) <= 1e-9
         assert abs(rhs.as_complex() - want) <= 1e-9
 
+    def test_exchange_identity_shifted_density(self):
+        # f^(s) = i s sqrt(pi) e^(-s^2/4) against g = e^(-(s-1)^2): completing
+        # the square gives i (8/5) pi e^(-1/5) / sqrt(5) on both sides
+        lhs, rhs = exchange_identity(dist("exp(-x^2)", 1.0), parse_expr("exp(-(x-1)^2)"))
+        want = 1.6j * math.pi * math.exp(-0.2) / math.sqrt(5.0)
+        assert abs(lhs.as_complex() - want) <= 1e-9
+        assert abs(rhs.as_complex() - want) <= 1e-9
+
     def test_exchange_identity_work(self, monkeypatch):
         # the transforms at the outer nodes share one sampling per call: the
         # Gaussian case evaluated 2.86M points with one integral per node

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from lprim import quadrature
+from lprim.corpus import corpus_members, weierstrass
 from lprim.errors import ConvergenceError, IntegrabilityError
+from lprim.expr import FunctionExpr
 from lprim.parser import parse_expr
 from lprim.quadrature import (
     DEFAULT_CONFIG,
@@ -13,6 +16,7 @@ from lprim.quadrature import (
     ConvolutionValues,
     QuadConfig,
     convolve,
+    effective_radius,
     find_sign_changes,
     integrate,
     integrate_line,
@@ -124,6 +128,54 @@ class TestNorms:
             sup_norm(parse_expr("sing(1/abs(x), 0)"))
 
 
+def scalar_sign_changes(f, a, b, n=2048):
+    """Reference: the same grid scan, then each bracket bisected on its own
+    with one-point evaluations and the same per-bracket rules."""
+    xs = np.linspace(a, b, n + 1)
+    for s in f.singularities:
+        xs[np.isclose(xs, s, rtol=0.0, atol=1e-300)] += (b - a) * 1e-9
+    vals = f.values(xs)
+    vals = np.where(np.isfinite(vals), vals, 0.0)
+    sgn = np.sign(vals)
+    exact = np.nonzero((sgn[1:-1] == 0.0) & (sgn[:-2] != 0.0) & (sgn[2:] != 0.0))[0]
+    zeros = [float(xs[i + 1]) for i in exact]
+    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+        lo, hi, flo = xs[i], xs[i + 1], vals[i]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm = f.values(np.array([mid]))[0]
+            if not np.isfinite(fm):
+                break
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (fm > 0) == (flo > 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        zeros.append(float(0.5 * (lo + hi)))
+    return zeros
+
+
+def _scan_cases():
+    for m in corpus_members():
+        if m.expr.support is not None:
+            a, b = m.expr.support
+        else:
+            r = effective_radius(m.expr)
+            a, b = -r, r
+        yield m.name, m.expr, a, b, 2048
+    yield "sin(x)", parse_expr("sin(x)"), 0.5, 7.0, 2048
+    yield "x - 1", parse_expr("x - 1"), 0.0, 2.0, 3  # midpoint of [2/3, 4/3] is a zero
+    yield "1/(x-1.3)", parse_expr("1/(x-1.3)"), 0.0, 2.0, 2048  # a pole
+    yield "sin(1/x) on (0,1)", parse_expr("sin(x^(-1))*indicator(0,1)"), 0.0, 1.0, 2048
+
+
+# Weierstrass primitive's L^1 norm, by mpmath at 30 digits
+# (lprimbench/reference.json, key "norm|weierstrass(6)|1")
+WEIERSTRASS_L1 = 1.112101241810845868789846
+
+
 class TestSignChanges:
     def test_finds_interior_zeros(self):
         zeros = find_sign_changes(parse_expr("sin(x)"), 0.5, 7.0)
@@ -134,6 +186,38 @@ class TestSignChanges:
         # x - 1 vanishes exactly at a grid point of the scan over [0, 2]
         zeros = find_sign_changes(parse_expr("x - 1"), 0.0, 2.0)
         assert any(abs(z - 1.0) < 1e-9 for z in zeros)
+
+    @pytest.mark.parametrize("name,f,a,b,n", list(_scan_cases()),
+                             ids=[c[0] for c in _scan_cases()])
+    def test_batched_matches_scalar_bisection(self, name, f, a, b, n):
+        assert find_sign_changes(f, a, b, n) == scalar_sign_changes(f, a, b, n)
+
+    def test_midpoint_zero_collapses(self):
+        assert find_sign_changes(parse_expr("x - 1"), 0.0, 2.0, 3) == [1.0]
+
+    def test_weierstrass_scan_resolves_wavelength(self, monkeypatch):
+        # lp_norm scans 8 points per oscillation wavelength: a 2,048-cell
+        # grid misses the zero pairs that fall inside one cell
+        m = weierstrass()
+        values, find = FunctionExpr.values, quadrature.find_sign_changes
+        calls, found = [], []
+
+        def counted(self, xs):
+            calls.append(1)
+            return values(self, xs)
+
+        def spy(f, a, b, n):
+            monkeypatch.setattr(FunctionExpr, "values", counted)
+            found.append(find(f, a, b, n))
+            monkeypatch.setattr(FunctionExpr, "values", values)
+            return found[-1]
+
+        monkeypatch.setattr(quadrature, "find_sign_changes", spy)
+        norm = lp_norm(m.expr, 1.0, QuadConfig.from_env(osc_wavelength=m.osc_wavelength))
+        assert len(found) == 1 and len(found[0]) == 240
+        # one scan plus at most 60 bisection steps over all brackets at once
+        assert len(calls) <= 62
+        assert abs(norm - WEIERSTRASS_L1) <= 1e-12 * WEIERSTRASS_L1
 
 
 class TestConfig:
