@@ -20,19 +20,41 @@ from scipy import special as _sp
 
 from .errors import EvalDomainError, JetError, LprimError
 
-# decay tags, ordered strongest first
+# decay tags, ordered strongest first.  A gaussian or exponential tag may
+# carry, as a second entry, the sorted centres of its bumps: exp(-(x - c)^2)
+# peaks at c, which no singular point or kink marks, so the quadrature
+# splits there and starts its tails beyond it.  A centre at 0 takes no
+# entry: the truncation interval [-r, r] is centred on it.
 DECAY_ORDER = ("compact", "gaussian", "exponential", "power", "none")
+_FAST = ("gaussian", "exponential")
 
 
 def _strength(decay):
     return DECAY_ORDER.index(decay[0])
 
 
+def decay_centres(decay):
+    """The recorded centres of a gaussian or exponential tag."""
+    return decay[1] if decay[0] in _FAST and len(decay) > 1 else ()
+
+
+def _fast_decay(kind, centres):
+    centres = tuple(sorted(set(centres) - {0.0}))
+    return (kind, centres) if centres else (kind,)
+
+
+def _with_centres(d, *parts):
+    """``d``, a fast decay taking the centres of every one of ``parts``."""
+    if d[0] not in _FAST:
+        return d
+    return _fast_decay(d[0], [c for p in parts for c in decay_centres(p)])
+
+
 def decay_add(d1, d2):
     """Decay of a sum: the weaker of the two (power betas take the min)."""
     if d1[0] == d2[0] == "power":
         return ("power", min(d1[1], d2[1]))
-    return d1 if _strength(d1) >= _strength(d2) else d2
+    return _with_centres(d1 if _strength(d1) >= _strength(d2) else d2, d1, d2)
 
 
 def decay_mul(d1, d2, g1, g2):
@@ -45,7 +67,7 @@ def decay_mul(d1, d2, g1, g2):
         return ("none",)
     if d1[0] != "none" and d2[0] != "none":
         # both factors decay: the product decays at least as fast as either
-        return d1 if _strength(d1) < _strength(d2) else d2
+        return _with_centres(d1 if _strength(d1) < _strength(d2) else d2, d1, d2)
     # one side carries real decay; it survives a polynomially bounded cofactor
     strong, weak_growth = (d1, g2) if _strength(d1) < _strength(d2) else (d2, g1)
     if weak_growth == math.inf:
@@ -430,15 +452,18 @@ def _neg_arg_decay(arg):
     """Decay class of exp(arg) when arg -> -infinity like -|x|^gamma."""
 
     def power_of(n):
-        # matches |x|^g shapes: (x - c)^(2k), abs(x - c)^g, positive multiples
+        # matches |x - c|^g shapes: (x - c)^(2k), abs(x - c)^g, positive
+        # multiples, as (g, centres): c for an even power, which no feature
+        # point marks; none under abs, whose zero is a kink
         if isinstance(n, Call) and n.name == "abs" and _zero_of(n.arg) is not None:
-            return 1.0
+            return 1.0, ()
         if isinstance(n, Pow) and n.expo > 0:
-            if isinstance(n.base, (Var, Add, Sub)) and _zero_of(n.base) is not None:
+            c = _zero_of(n.base) if isinstance(n.base, (Var, Add, Sub)) else None
+            if c is not None:
                 e = n.expo
-                return e if e == int(e) and int(e) % 2 == 0 else None
+                return (e, (c,)) if e == int(e) and int(e) % 2 == 0 else None
             inner = power_of(n.base)
-            return None if inner is None else inner * n.expo
+            return None if inner is None else (inner[0] * n.expo, inner[1])
         if isinstance(n, Mul):
             if isinstance(n.a, Const) and n.a.v > 0:
                 return power_of(n.b)
@@ -447,12 +472,13 @@ def _neg_arg_decay(arg):
         return None  # Var alone is odd: grows at +inf only
 
     if isinstance(arg, Neg):
-        g = power_of(arg.a)
-        if g is not None:
+        m = power_of(arg.a)
+        if m is not None:
+            g, centres = m
             if g >= 2:
-                return ("gaussian",)
+                return _fast_decay("gaussian", centres)
             if g >= 1:
-                return ("exponential",)
+                return _fast_decay("exponential", centres)
     if isinstance(arg, Mul) and isinstance(arg.a, Const) and arg.a.v < 0:
         return _neg_arg_decay(Neg(arg.b))
     if isinstance(arg, Mul) and isinstance(arg.b, Const) and arg.b.v < 0:
@@ -678,7 +704,8 @@ class FunctionExpr:
     def affine(self, a, b):
         """The function t -> self(a*t + b), a != 0.  Each singular point,
         kink and support end p moves to (p - b)/a, as the tree's indicator
-        endpoints do; the decay class is unchanged."""
+        endpoints do, and so does each recorded decay centre; the decay
+        class is unchanged."""
         a, b = float(a), float(b)
         if a == 0.0:
             raise LprimError("affine map needs a != 0")
@@ -688,9 +715,12 @@ class FunctionExpr:
         def move(points):
             return tuple(sorted((p - b) / a for p in points))
 
+        centres = decay_centres(self.decay)
+        decay = _fast_decay(self.decay[0], move(centres)) if centres else self.decay
         return replace(self, root=self.root.subst_affine(a, b),
                        singularities=move(self.singularities), kinks=move(self.kinks),
-                       support=None if self.support is None else move(self.support))
+                       support=None if self.support is None else move(self.support),
+                       decay=decay)
 
     def feature_points(self):
         pts = set(self.singularities) | set(self.kinks)

@@ -30,7 +30,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import spherical_jn as _sp_spherical_jn
 
 from .errors import ConvergenceError, IntegrabilityError, LprimError
-from .expr import decay_mul, growth
+from .expr import decay_centres, decay_mul, growth
 
 # -- 7/15 Gauss-Kronrod pair (full-precision QUADPACK constants) ----------
 
@@ -182,6 +182,17 @@ class _Family:
     decay: tuple
 
 
+# A decay centre's bump may be narrow next to the panel that holds it, and
+# a rule on a long panel can step over it: split at c and c +- 2^k,
+# k = -4..6, so that near c no panel is longer than its distance from c.
+_CENTRE_STEPS = (0.0,) + tuple(s * 2.0 ** k for k in range(-4, 7) for s in (1.0, -1.0))
+
+
+def _centre_cuts(f):
+    """Split points around each decay centre of ``f``."""
+    return tuple(c + s for c in decay_centres(f.decay) for s in _CENTRE_STEPS)
+
+
 def _single(f, extra_splits=(), line=False):
     """The one-owner family of the FunctionExpr ``f``; the radius and
     support are only needed on the line."""
@@ -192,7 +203,7 @@ def _single(f, extra_splits=(), line=False):
     return _Family(
         lambda owner, ys: f.values(ys),
         np.array([sing], dtype=float),
-        np.array([sing + tuple(f.kinks) + tuple(extra_splits)], dtype=float),
+        np.array([sing + tuple(f.kinks) + _centre_cuts(f) + tuple(extra_splits)], dtype=float),
         np.array([effective_radius(f)]) if line else None,
         support,
         f.decay,
@@ -596,11 +607,9 @@ def integrate(f, a, b, cfg=None, extra_splits=()):
 
 
 def effective_radius(f, minimum=8.0):
-    pts = f.feature_points()
-    r = minimum
-    if pts:
-        r = max(r, 1.5 * max(abs(p) for p in pts) + 4.0)
-    return r
+    """A radius beyond every feature point and decay centre of ``f``."""
+    far = [abs(p) for p in f.feature_points() + decay_centres(f.decay)]
+    return max(minimum, 1.5 * max(far) + 4.0) if far else minimum
 
 
 def integrate_line(f, cfg=None, extra_splits=()):
@@ -626,12 +635,14 @@ def _fixed(points, n):
 def convolve(K, g, xs, cfg=None):
     """(K * g)(x) = integral of K(x - y) g(y) dy for every x in ``xs``,
     as one integral family.  Each owner's split points and support are
-    K's singularities, kinks and support shifted by its x, with g's."""
+    K's singularities, kinks, decay centre cuts and support shifted by its
+    x, with g's."""
     cfg = cfg or DEFAULT_CONFIG
     xs = np.asarray(xs, dtype=float).ravel()
     n = xs.size
     sing = np.concatenate([_shifted(K.singularities, xs), _fixed(g.singularities, n)], axis=1)
-    cuts = np.concatenate([sing, _shifted(K.kinks, xs), _fixed(g.kinks, n)], axis=1)
+    cuts = np.concatenate([sing, _shifted(tuple(K.kinks) + _centre_cuts(K), xs),
+                           _fixed(tuple(g.kinks) + _centre_cuts(g), n)], axis=1)
     support = None
     if K.support is not None:
         support = (xs - K.support[1], xs - K.support[0])
@@ -877,7 +888,7 @@ def fourier_integral(f, s, cfg=None):
         raise LprimError("fourier_integral needs s != 0")
     hmax = 1.0 / np.max(np.abs(s))
     kind = f.decay[0]
-    feats = np.array(f.feature_points(), dtype=float)
+    feats = np.unique(np.array(f.feature_points() + _centre_cuts(f), dtype=float))
     tail, tail_err = np.zeros(s.size, dtype=complex), np.zeros(s.size)
 
     def pieces(a, b):

@@ -59,9 +59,10 @@ class TestExitCodes:
         assert code == 0
         assert rows(report)["norm"] == pytest.approx(1.0, abs=1e-10)
 
-    def test_norm_of_shifted_gaussian(self):
-        # exp(-(x-1)^2) is tagged gaussian, so its tails are certified
-        report, code = run("norm", "--p", "1", "--f", "exp(-(x-1)^2)")
+    @pytest.mark.parametrize("src", ["exp(-(x-1)^2)", "exp(-(x-50)^2)"])
+    def test_norm_of_shifted_gaussian(self, src):
+        # tagged gaussian with its centre, so the tails start beyond the bump
+        report, code = run("norm", "--p", "1", "--f", src)
         assert code == 0
         assert rows(report)["norm"] == pytest.approx(math.sqrt(math.pi), abs=1e-10)
 

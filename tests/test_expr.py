@@ -326,17 +326,26 @@ METADATA_TABLE = [
      (), (0.0, 3.0), (0.0, 3.0), ('compact',)),
     ('dilate:tent*0.3', lambda: C('tent').affine((1 / 0.3), 0.0) * (1 / 0.3),
      (), (0.0, 0.3, 0.6), (0.0, 0.6), ('compact',)),
-    # even powers of a shifted variable: x - c and x + c have a known zero
+    # even powers of a shifted variable: x - c and x + c have a known zero,
+    # the centre the gaussian tag records for the quadrature
     ('parse:exp(-(x-1)^2)', lambda: P('exp(-(x-1)^2)'),
-     (), (), None, ('gaussian',)),
+     (), (), None, ('gaussian', (1.0,))),
     ('parse:exp(-(x+2.5)^4)', lambda: P('exp(-(x+2.5)^4)'),
-     (), (), None, ('gaussian',)),
+     (), (), None, ('gaussian', (-2.5,))),
     ('parse:x*exp(-(x-1)^2)', lambda: P('x*exp(-(x-1)^2)'),
-     (), (), None, ('gaussian',)),
+     (), (), None, ('gaussian', (1.0,))),
     ('parse:exp(-(x-1)^3)', lambda: P('exp(-(x-1)^3)'),
      (), (), None, ('none',)),
     ('parse:exp(-(x-1)^2)*box', lambda: P('exp(-(x-1)^2)*indicator(0,1)'),
      (), (0.0, 1.0), (0.0, 1.0), ('compact',)),
+    ('parse:exp(-(x-50)^2)+exp(-(x+30)^4)', lambda: P('exp(-(x-50)^2)+exp(-(x+30)^4)'),
+     (), (), None, ('gaussian', (-30.0, 50.0))),
+    ('parse:exp(-(x-1)^2)+exp(-abs(x))', lambda: P('exp(-(x-1)^2)+exp(-abs(x))'),
+     (), (0.0,), None, ('exponential', (1.0,))),
+    ('translate:shifted gauss+49', lambda: P('exp(-(x-1)^2)').affine(1.0, -49.0),
+     (), (), None, ('gaussian', (50.0,))),
+    ('dilate:shifted gauss*0.5', lambda: P('exp(-(x-1)^2)').affine(2.0, 0.0),
+     (), (), None, ('gaussian', (0.5,))),
 ]
 
 

@@ -99,6 +99,50 @@ class TestLineIntegrals:
             integrate_line(parse_expr("cos(x)^2"))
 
 
+SQRT_PI = math.sqrt(math.pi)
+QUARTIC = math.gamma(0.25) / 2  # integral of exp(-x^4)
+
+
+class TestDecayCentres:
+    """A bump centred far from 0, where no feature point marks it: the
+    tails start beyond its centre and the panels split around it."""
+
+    @pytest.mark.parametrize("src,want", [
+        ("exp(-(x-50)^2)", SQRT_PI),
+        ("exp(-(x+50)^2)", SQRT_PI),
+        ("exp(-(x+300)^4)", QUARTIC),
+        ("x*exp(-(x-50)^2)", 50 * SQRT_PI),
+        ("exp(-(x-50)^2)+exp(-(x+30)^4)", SQRT_PI + QUARTIC),
+    ])
+    def test_line_integral(self, src, want):
+        res = integrate_line(parse_expr(src))
+        assert res.converged
+        assert res.value == pytest.approx(want, rel=1e-12)
+
+    def test_radius_covers_centre(self):
+        assert effective_radius(parse_expr("exp(-(x+50)^2)")) == 1.5 * 50 + 4.0
+
+    def test_translated_bump(self):
+        F = parse_expr("exp(-(x-1)^2)").affine(1.0, -49.0)
+        assert integrate_line(F).value == pytest.approx(SQRT_PI, rel=1e-12)
+        assert lp_norm(F, 2.0) == pytest.approx((math.pi / 2) ** 0.25, rel=1e-12)
+
+    def test_convolution_of_shifted_bumps(self):
+        # e^{-(x-20)^2} * e^{-(x+20)^2} is sqrt(pi/2) e^{-x^2/2}
+        xs = np.array([-40.0, 0.0, 5.0, 40.0])
+        fam = convolve(parse_expr("exp(-(x-20)^2)"), parse_expr("exp(-(x+20)^2)"), xs)
+        assert fam.converged.all()
+        assert fam.value == pytest.approx(math.sqrt(math.pi / 2) * np.exp(-xs**2 / 2),
+                                          rel=1e-12, abs=1e-14)
+
+    def test_fourier_of_shifted_bump(self):
+        # the transform of e^{-(x-50)^2} is sqrt(pi) e^{-s^2/4} e^{-50is}
+        s = np.array([1.0, 7.0])
+        res = quadrature.fourier_integral(parse_expr("exp(-(x-50)^2)"), s)
+        want = SQRT_PI * np.exp(-s**2 / 4) * np.exp(-50j * s)
+        assert np.abs(res.value - want).max() <= 1e-12
+
+
 class TestNorms:
     def test_lp_norm_indicator(self):
         for p in (1.0, 2.0, 3.0):
@@ -186,14 +230,13 @@ class TestSignChanges:
         # x - 1 vanishes exactly at a grid point of the scan over [0, 2]
         zeros = find_sign_changes(parse_expr("x - 1"), 0.0, 2.0)
         assert any(abs(z - 1.0) < 1e-9 for z in zeros)
+        # and at the first midpoint of the bracket [2/3, 4/3], which collapses
+        assert find_sign_changes(parse_expr("x - 1"), 0.0, 2.0, 3) == [1.0]
 
     @pytest.mark.parametrize("name,f,a,b,n", list(_scan_cases()),
                              ids=[c[0] for c in _scan_cases()])
     def test_batched_matches_scalar_bisection(self, name, f, a, b, n):
         assert find_sign_changes(f, a, b, n) == scalar_sign_changes(f, a, b, n)
-
-    def test_midpoint_zero_collapses(self):
-        assert find_sign_changes(parse_expr("x - 1"), 0.0, 2.0, 3) == [1.0]
 
     def test_weierstrass_scan_resolves_wavelength(self, monkeypatch):
         # lp_norm scans 8 points per oscillation wavelength: a 2,048-cell
