@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,17 +82,27 @@ def decay_mul(d1, d2, g1, g2):
 # ---------------------------------------------------------------------------
 # nodes
 #
-# ``ev`` runs inside the caller's ``np.errstate`` (FunctionExpr.values and
-# __call__ enter it once per evaluation), on float arrays or numpy scalars.
+# ``ev(x, m)`` runs inside the caller's ``np.errstate`` (FunctionExpr.values
+# and __call__ enter it once per evaluation), on float arrays or numpy
+# scalars.  ``m`` is the call's memo of interned nodes (see _memo_class).
 
 
 class Node:
     """Base expression node."""
 
-    def ev(self, x):
+    _memo = False  # True for interned nodes, whose values go in the memo
+
+    def ev(self, x, m):
         raise NotImplementedError
 
     def diff(self):
+        """Almost-everywhere derivative of this node's canonical copy, built
+        from the canonical constructors; each distinct node is differentiated once."""
+        d = functools.cache(lambda n: n.deriv(d))
+        return d(_canonical(self))
+
+    def deriv(self, d):
+        """The derivative, given ``d``, which differentiates a child."""
         raise LprimError(f"{type(self).__name__} is not differentiable")
 
     def subst_affine(self, a, b):
@@ -104,24 +115,24 @@ class Const(Node):
         self.v = float(v)
         self._scalar = np.float64(self.v)
 
-    def ev(self, x):
+    def ev(self, x, m):
         # a numpy scalar broadcasts against array siblings and keeps numpy's
         # inf/nan arithmetic in constant subtrees
         return self._scalar
 
-    def diff(self):
-        return Const(0.0)
+    def deriv(self, d):
+        return const(0.0)
 
     def subst_affine(self, a, b):
         return self
 
 
 class Var(Node):
-    def ev(self, x):
+    def ev(self, x, m):
         return x
 
-    def diff(self):
-        return Const(1.0)
+    def deriv(self, d):
+        return const(1.0)
 
     def subst_affine(self, a, b):
         node = Var() if a == 1.0 else Mul(Const(a), Var())
@@ -138,47 +149,47 @@ class _Binary(Node):
 
 
 class Add(_Binary):
-    def ev(self, x):
-        return self.a.ev(x) + self.b.ev(x)
+    def ev(self, x, m):
+        return self.a.ev(x, m) + self.b.ev(x, m)
 
-    def diff(self):
-        return Add(self.a.diff(), self.b.diff())
+    def deriv(self, d):
+        return add(d(self.a), d(self.b))
 
 
 class Sub(_Binary):
-    def ev(self, x):
-        return self.a.ev(x) - self.b.ev(x)
+    def ev(self, x, m):
+        return self.a.ev(x, m) - self.b.ev(x, m)
 
-    def diff(self):
-        return Sub(self.a.diff(), self.b.diff())
+    def deriv(self, d):
+        return add(d(self.a), neg(d(self.b)))
 
 
 class Mul(_Binary):
-    def ev(self, x):
-        return self.a.ev(x) * self.b.ev(x)
+    def ev(self, x, m):
+        return self.a.ev(x, m) * self.b.ev(x, m)
 
-    def diff(self):
-        return Add(Mul(self.a.diff(), self.b), Mul(self.a, self.b.diff()))
+    def deriv(self, d):
+        return add(mul(d(self.a), self.b), mul(self.a, d(self.b)))
 
 
 class Div(_Binary):
-    def ev(self, x):
-        return self.a.ev(x) / self.b.ev(x)
+    def ev(self, x, m):
+        return self.a.ev(x, m) / self.b.ev(x, m)
 
-    def diff(self):
-        num = Sub(Mul(self.a.diff(), self.b), Mul(self.a, self.b.diff()))
-        return Div(num, Mul(self.b, self.b))
+    def deriv(self, d):
+        num = add(mul(d(self.a), self.b), neg(mul(self.a, d(self.b))))
+        return div(num, mul(self.b, self.b))
 
 
 class Neg(Node):
     def __init__(self, a):
         self.a = a
 
-    def ev(self, x):
-        return -self.a.ev(x)
+    def ev(self, x, m):
+        return -self.a.ev(x, m)
 
-    def diff(self):
-        return Neg(self.a.diff())
+    def deriv(self, d):
+        return neg(d(self.a))
 
     def subst_affine(self, a, b):
         return Neg(self.a.subst_affine(a, b))
@@ -192,8 +203,8 @@ class Pow(Node):
         self.expo = float(expo)
         self._is_int = self.expo == int(self.expo) and abs(self.expo) < 64
 
-    def ev(self, x):
-        b = self.base.ev(x)
+    def ev(self, x, m):
+        b = self.base.ev(x, m)
         if not self._is_int:
             return np.power(b, self.expo)
         e = int(self.expo)
@@ -215,15 +226,10 @@ class Pow(Node):
                 sq = sq * sq
         return 1.0 / acc if neg else acc
 
-    def diff(self):
-        # x^1 and x^0 differentiate to constants: writing them as
-        # x^0 * ... and 0 * x^(-1) * ... would put 0/0 at x = 0
-        if self.expo == 0.0:
-            return Const(0.0)
-        inner = self.base.diff()
-        if self.expo != 1.0:
-            inner = Mul(Pow(self.base, self.expo - 1.0), inner)
-        return Mul(Const(self.expo), inner)
+    def deriv(self, d):
+        # pow_ turns x^0 into 1 and x^1 into x, so x and x^2 differentiate
+        # to constants, with no 0/0 at x = 0
+        return mul(const(self.expo), mul(pow_(self.base, self.expo - 1.0), d(self.base)))
 
     def subst_affine(self, a, b):
         return Pow(self.base.subst_affine(a, b), self.expo)
@@ -251,24 +257,24 @@ class Call(Node):
         self.name = name
         self.arg = arg
 
-    def ev(self, x):
-        return _UNARY_EV[self.name](self.arg.ev(x))
+    def ev(self, x, m):
+        return _UNARY_EV[self.name](self.arg.ev(x, m))
 
-    def diff(self):
+    def deriv(self, d):
         a = self.arg
-        da = a.diff()
+        da = d(a)
         table = {
-            "exp": lambda: Mul(self, da),
-            "log": lambda: Div(da, a),
-            "sin": lambda: Mul(Call("cos", a), da),
-            "cos": lambda: Neg(Mul(Call("sin", a), da)),
-            "atan": lambda: Div(da, Add(Const(1.0), Mul(a, a))),
-            "erf": lambda: Mul(
-                Mul(Const(TWO_OVER_SQRT_PI), Call("exp", Neg(Mul(a, a)))), da
+            "exp": lambda: mul(self, da),
+            "log": lambda: div(da, a),
+            "sin": lambda: mul(call("cos", a), da),
+            "cos": lambda: neg(mul(call("sin", a), da)),
+            "atan": lambda: div(da, add(const(1.0), mul(a, a))),
+            "erf": lambda: mul(
+                mul(const(TWO_OVER_SQRT_PI), call("exp", neg(mul(a, a)))), da
             ),
-            "sqrt": lambda: Div(da, Mul(Const(2.0), self)),
-            "abs": lambda: Mul(Call("sgn", a), da),  # a.e. derivative
-            "sgn": lambda: Const(0.0),  # a.e. derivative
+            "sqrt": lambda: div(da, mul(const(2.0), self)),
+            "abs": lambda: mul(call("sgn", a), da),  # a.e. derivative
+            "sgn": lambda: const(0.0),  # a.e. derivative
         }
         return table[self.name]()
 
@@ -289,11 +295,11 @@ class Indicator(Node):
         self.a = float(a)
         self.b = float(b)
 
-    def ev(self, x):
+    def ev(self, x, m):
         return 0.5 * (np.sign(np.subtract(x, self.a)) - np.sign(np.subtract(x, self.b)))
 
-    def diff(self):
-        return Const(0.0)  # a.e. derivative
+    def deriv(self, d):
+        return const(0.0)  # a.e. derivative
 
     def subst_affine(self, a, b):
         # x = a*t + b lies in (lo, hi)  <=>  t in the transformed interval
@@ -320,8 +326,8 @@ class Cmp:
         self.op = op
         self.rhs = rhs
 
-    def ev(self, x):
-        return _CMP[self.op](self.lhs.ev(x), self.rhs.ev(x))
+    def ev(self, x, m):
+        return _CMP[self.op](self.lhs.ev(x, m), self.rhs.ev(x, m))
 
     def subst_affine(self, a, b):
         return Cmp(self.lhs.subst_affine(a, b), self.op, self.rhs.subst_affine(a, b))
@@ -334,16 +340,14 @@ class Piecewise(Node):
         self.branches = list(branches)
         self.otherwise = otherwise if otherwise is not None else Const(0.0)
 
-    def ev(self, x):
-        out = self.otherwise.ev(x)
+    def ev(self, x, m):
+        out = self.otherwise.ev(x, m)
         for cond, node in reversed(self.branches):
-            out = np.where(cond.ev(x), node.ev(x), out)
+            out = np.where(cond.ev(x, m), node.ev(x, m), out)
         return out
 
-    def diff(self):
-        return Piecewise(
-            [(c, n.diff()) for c, n in self.branches], self.otherwise.diff()
-        )
+    def deriv(self, d):
+        return Piecewise([(c, d(n)) for c, n in self.branches], d(self.otherwise))
 
     def subst_affine(self, a, b):
         return Piecewise(
@@ -361,7 +365,7 @@ class Wrapped(Node):
         self.name = name
         self.growth_hint = growth_hint
 
-    def ev(self, x):
+    def ev(self, x, m):
         if np.ndim(x):
             return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
         return np.float64(self.fn(np.asarray([x], dtype=float))[0])
@@ -370,6 +374,112 @@ class Wrapped(Node):
         base = self.fn
         return Wrapped(lambda xs: base(a * xs + b), name=f"{self.name}@affine",
                        growth_hint=self.growth_hint)
+
+
+# ---------------------------------------------------------------------------
+# canonical constructors, used by every deriv(): constants fold, +0, *1 and
+# *0 drop, constant factors merge to the front, x^1 is x and x^0 is 1.  Nodes
+# are interned by structure (children by identity) in a weak pool, so equal
+# subtrees are one object, until nothing else holds them.
+
+_POOL = {}  # structure key -> weak reference to the node
+_SLICE = 4096  # points per pass over a DAG, so that its memo stays in cache
+
+
+@functools.cache
+def _memo_class(cls):
+    """``cls`` for interned nodes: with many parents in a derivative's DAG,
+    the value is kept in the call's memo; tree nodes pay for no memo."""
+    def ev(self, x, m):
+        v = m.get(self)
+        if v is None:
+            v = m[self] = cls.ev(self, x, m)
+        return v
+
+    return type(cls.__name__, (cls,), {"ev": ev, "_memo": True})
+
+
+def _make(cls, *args):
+    """The interned cls(*args), or its value when its children are constants."""
+    key, vals = [cls], []
+    for a in args:
+        if isinstance(a, Node):
+            vals.append(a._scalar if type(a) is Const else None)
+            a = id(a)
+        key.append(a)
+    if vals and None not in vals:
+        with np.errstate(all="ignore"):
+            return const(cls(*args).ev(None, {}))
+    key = tuple(key)
+    ref = _POOL.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = (cls if cls in (Const, Var) else _memo_class(cls))(*args)
+        # the entry goes with the node, unless a new node has taken the key
+        _POOL[key] = weakref.ref(node, lambda r: _POOL.get(key) is r and _POOL.pop(key))
+    return node
+
+
+def const(v):
+    return _make(Const, float(v) + 0.0)  # + 0.0: one zero, without a sign
+
+
+def _is(n, v):
+    return type(n) is Const and n.v == v
+
+
+def add(a, b):
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else _make(Add, a, b)
+
+
+def _split(n):
+    """(constant factor, the rest or None) of a node; one level, unlike _scaled."""
+    if type(n) is Const:
+        return n.v, None
+    return (n.a.v, n.b) if isinstance(n, Mul) and type(n.a) is Const else (1.0, n)
+
+
+def mul(a, b):
+    (ca, ra), (cb, rb) = _split(a), _split(b)
+    c = ca * cb
+    rest = rb if ra is None else ra if rb is None else _make(Mul, ra, rb)
+    if rest is None or c == 0.0:
+        return const(c)
+    return rest if c == 1.0 else _make(Mul, const(c), rest)
+
+
+def div(a, b):
+    return a if _is(a, 0.0) or _is(b, 1.0) else _make(Div, a, b)
+
+
+def neg(a):
+    return mul(const(-1.0), a)
+
+
+def pow_(base, expo):
+    expo = float(expo)
+    return const(1.0) if expo == 0.0 else base if expo == 1.0 else _make(Pow, base, expo)
+
+
+def call(name, arg):
+    return _make(Call, name, arg)
+
+
+def _canonical(n):
+    """``n`` rebuilt from the canonical constructors.  Interned nodes, and
+    indicators, branches and wrapped callables, are kept as they are."""
+    if n._memo or isinstance(n, (Indicator, Piecewise, Wrapped)):
+        return n
+    if isinstance(n, (Const, Var)):
+        return const(n.v) if isinstance(n, Const) else _make(Var)
+    if isinstance(n, Pow):
+        return pow_(_canonical(n.base), n.expo)
+    if isinstance(n, Call):
+        return call(n.name, _canonical(n.arg))
+    if isinstance(n, Neg):
+        return neg(_canonical(n.a))
+    a, b = _canonical(n.a), _canonical(n.b)
+    return {Add: add, Sub: lambda a, b: add(a, neg(b)), Mul: mul, Div: div}[type(n)](a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +558,35 @@ def growth(node):
     return math.inf
 
 
+def _scaled(n):
+    """``n`` as (c, m) with n = c*m: c is read off constants, negations,
+    constant factors and constant divisors, and m is None when n is constant."""
+    if isinstance(n, Const):
+        return n.v, None
+    if isinstance(n, Neg):
+        c, m = _scaled(n.a)
+        return -c, m
+    if isinstance(n, (Mul, Div)):
+        (ca, ma), (cb, mb) = _scaled(n.a), _scaled(n.b)
+        if isinstance(n, Div) and mb is None and cb != 0.0:
+            return ca / cb, ma
+        if isinstance(n, Mul) and None in (ma, mb):
+            return ca * cb, mb if ma is None else ma
+    return 1.0, n
+
+
 def _neg_arg_decay(arg):
-    """Decay class of exp(arg) when arg -> -infinity like -|x|^gamma."""
+    """Decay class of exp(arg) when arg -> -infinity like -c |x|^gamma, c > 0."""
 
     def power_of(n):
         # matches |x - c|^g shapes: (x - c)^(2k), abs(x - c)^g, positive
-        # multiples, as (g, centres): c for an even power, which no feature
-        # point marks; none under abs, whose zero is a kink
+        # multiples, as (g, centres).  The tag records c: no feature point
+        # marks it under an even power, and a kink alone misses a narrow peak
+        c, m = _scaled(n)
+        if m is not n:
+            return power_of(m) if c > 0 and m is not None else None
         if isinstance(n, Call) and n.name == "abs" and _zero_of(n.arg) is not None:
-            return 1.0, ()
+            return 1.0, (_zero_of(n.arg),)
         if isinstance(n, Pow) and n.expo > 0:
             c = _zero_of(n.base) if isinstance(n.base, (Var, Add, Sub)) else None
             if c is not None:
@@ -464,25 +594,14 @@ def _neg_arg_decay(arg):
                 return (e, (c,)) if e == int(e) and int(e) % 2 == 0 else None
             inner = power_of(n.base)
             return None if inner is None else (inner[0] * n.expo, inner[1])
-        if isinstance(n, Mul):
-            if isinstance(n.a, Const) and n.a.v > 0:
-                return power_of(n.b)
-            if isinstance(n.b, Const) and n.b.v > 0:
-                return power_of(n.a)
         return None  # Var alone is odd: grows at +inf only
 
-    if isinstance(arg, Neg):
-        m = power_of(arg.a)
-        if m is not None:
-            g, centres = m
-            if g >= 2:
-                return _fast_decay("gaussian", centres)
-            if g >= 1:
-                return _fast_decay("exponential", centres)
-    if isinstance(arg, Mul) and isinstance(arg.a, Const) and arg.a.v < 0:
-        return _neg_arg_decay(Neg(arg.b))
-    if isinstance(arg, Mul) and isinstance(arg.b, Const) and arg.b.v < 0:
-        return _neg_arg_decay(Neg(arg.a))
+    c, m = _scaled(arg)
+    g, centres = (power_of(m) if c < 0 and m is not None else None) or (0.0, ())
+    if g >= 2:
+        return _fast_decay("gaussian", centres)
+    if g >= 1:
+        return _fast_decay("exponential", centres)
     return ("none",)
 
 
@@ -627,13 +746,17 @@ class FunctionExpr:
         if self.support is not None and not (self.support[0] <= x <= self.support[1]):
             return 0.0
         with np.errstate(all="ignore"):
-            return float(self.root.ev(np.float64(x)))
+            return float(self.root.ev(np.float64(x), {}))
 
     def values(self, xs):
         """Vectorized evaluation; caller keeps clear of singular points."""
         xs = np.asarray(xs, dtype=float)
         with np.errstate(all="ignore"):
-            out = np.asarray(self.root.ev(xs), dtype=float)
+            if self.root._memo and xs.size > _SLICE:
+                out = np.concatenate([self.root.ev(xs.ravel()[i:i + _SLICE], {})
+                                      for i in range(0, xs.size, _SLICE)]).reshape(xs.shape)
+            else:
+                out = np.asarray(self.root.ev(xs, {}), dtype=float)
         if out.shape != xs.shape:
             out = np.broadcast_to(out, xs.shape).copy()
         if self.support is not None:
@@ -652,14 +775,13 @@ class FunctionExpr:
                 raise JetError(f"jet at non-smooth point {s}")
         out = []
         node = self.root
-        with np.errstate(all="ignore"):
-            for i in range(k + 1):
-                v = float(node.ev(np.float64(x)))
-                if not math.isfinite(v):
-                    raise JetError(f"derivative {i} at {x} is not finite")
-                out.append(v)
-                if i < k:
-                    node = node.diff()
+        for i in range(k + 1):
+            v = FunctionExpr(node)(x)
+            if not math.isfinite(v):
+                raise JetError(f"derivative {i} at {x} is not finite")
+            out.append(v)
+            if i < k:
+                node = node.diff()
         return tuple(out)
 
     # -- calculus ------------------------------------------------------------

@@ -70,17 +70,13 @@ class ComplexValue:
 
 def _smooth_fourth_derivative(F):
     """F'''' when F is smooth with certified decay, else None."""
-    if F.singularities or F.kinks:
-        return None
-    if F.decay[0] not in ("gaussian", "exponential"):
+    if F.singularities or F.kinks or F.decay[0] not in ("gaussian", "exponential"):
         return None
     try:
         d = F
         for _ in range(4):
             d = d.diff()
     except LprimError:
-        return None
-    if d.singularities or d.kinks or d.decay[0] == "none":
         return None
     return d
 

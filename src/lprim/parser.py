@@ -22,8 +22,6 @@ import math
 import re
 from dataclasses import replace
 
-import numpy as np
-
 from .errors import ParseError
 from .expr import (
     Add,
@@ -39,6 +37,7 @@ from .expr import (
     Pow,
     Sub,
     Var,
+    _children,
 )
 
 _TOKEN_RE = re.compile(
@@ -202,37 +201,13 @@ class _Parser:
 
 
 def _const_fold(node):
-    """Evaluate a closed constant subtree to a float, or None."""
-    try:
-        if isinstance(node, Const):
-            return node.v
-        if isinstance(node, Neg):
-            v = _const_fold(node.a)
-            return None if v is None else -v
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            a = _const_fold(node.a)
-            b = _const_fold(node.b)
-            if a is None or b is None:
-                return None
-            if isinstance(node, Add):
-                return a + b
-            if isinstance(node, Sub):
-                return a - b
-            if isinstance(node, Mul):
-                return a * b
-            return a / b
-        if isinstance(node, Pow):
-            b = _const_fold(node.base)
-            return None if b is None else b ** node.expo
-        if isinstance(node, Call):
-            a = _const_fold(node.arg)
-            if a is None:
-                return None
-            with np.errstate(all="ignore"):
-                return float(node.ev(0.0))
-    except (ZeroDivisionError, OverflowError, ValueError):
+    """The value of a constant subtree (one without x, indicators or
+    branches), or None; None as well where it is not finite."""
+    if isinstance(node, (Var, Indicator, Piecewise)) or any(
+            _const_fold(c) is None for c in _children(node)):
         return None
-    return None
+    v = FunctionExpr(node)(0.0)
+    return v if math.isfinite(v) else None
 
 
 def parse_expr(text):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ExponentError, IntegrabilityError, LprimError
-from .parser import parse_expr
+from .expr import FunctionExpr, Var, add, const, mul, pow_
 from .quadrature import DEFAULT_CONFIG, ConvolutionValues, effective_radius, lp_norm
 from .sampling import sample_function, sampled_expr
 
@@ -28,8 +28,10 @@ class HalfPlanePoint:
 
 
 def _kernel_expr(y):
+    """Phi_y = (y/pi)(x^2+y^2)^(-1), built from nodes, smooth with power-2 decay."""
     y = float(y)
-    return parse_expr(f"({y / math.pi!r})*(x^2+{y * y!r})^(-1)")
+    root = mul(const(y / math.pi), pow_(add(pow_(Var(), 2), const(y * y)), -1))
+    return FunctionExpr(root, decay=("power", 2.0))
 
 
 def poisson_kernel(pt):

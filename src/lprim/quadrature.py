@@ -717,6 +717,7 @@ _FL_COEF = (np.polynomial.legendre.legvander(_FL_T, _FL_N - 1) * _FL_W[:, None]
 _FL_MOMENT = 2.0 * (-1j) ** np.arange(_FL_N)
 _FL_TAIL = 4  # the trailing coefficients whose sizes bound a panel's error
 _FL_TERMS = 4  # terms of the asymptotic sum for power-decay tails
+_FL_MOMENT_BATCH = 1 << 18  # moments per spherical_jn call, at most
 # the tolerance is absolute, as |F^(s)| spans many orders of magnitude over
 # s; for large F it is at least this share of the L^1 mass, near rounding
 _FL_FLOOR = 256 * np.finfo(float).eps
@@ -800,16 +801,20 @@ def _fl_segments(f, a, b, cfg, hmax):
 
 def _filon_sum(lo, hi, coef, s):
     """Sum over the panels of the integral of each panel's Legendre series
-    times e^{-isx}, for every s; panels of equal width share moments."""
+    times e^{-isx}, for every s; panels of equal width share moments, which
+    come from one spherical_jn call per chunk of _FL_MOMENT_BATCH values."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     weighted = coef * _FL_MOMENT
     k = np.arange(_FL_N)
     out = np.zeros(s.size, dtype=complex)
-    for h in np.unique(half):
-        sel = half == h
-        moments = _sp_spherical_jn(k, s[:, None] * h)
-        phase = np.exp(-1j * np.outer(s, mid[sel]))
-        out += h * np.einsum("qk,qk->q", moments, phase @ weighted[sel])
+    widths = np.unique(half)
+    step = max(1, _FL_MOMENT_BATCH // (s.size * _FL_N))
+    for c in range(0, widths.size, step):
+        moments = _sp_spherical_jn(k, s[:, None, None] * widths[c:c + step, None])
+        for h, m in zip(widths[c:c + step], moments.transpose(1, 0, 2)):  # (q, k) each
+            sel = half == h
+            phase = np.exp(-1j * np.outer(s, mid[sel]))
+            out += h * np.einsum("qk,qk->q", m, phase @ weighted[sel])
     return out
 
 

@@ -66,6 +66,13 @@ class TestExitCodes:
         assert code == 0
         assert rows(report)["norm"] == pytest.approx(math.sqrt(math.pi), abs=1e-10)
 
+    @pytest.mark.parametrize("src,want", [("exp(-3*x^2)", math.sqrt(math.pi / 3)),
+                                          ("exp(-x^2/2)", math.sqrt(2 * math.pi))])
+    def test_norm_of_scaled_gaussian(self, src, want):
+        report, code = run("norm", "--p", "1", "--f", src)
+        assert code == 0
+        assert rows(report)["norm"] == pytest.approx(want, abs=1e-10)
+
     def test_usage_error(self):
         report, code = run("norm", "--p", "2")
         assert code == 1

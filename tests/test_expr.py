@@ -1,8 +1,10 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from lprim import expr
 from lprim.corpus import corpus, tent
 from lprim.errors import JetError, LprimError
 from lprim.expr import FunctionExpr, Wrapped, maximum, minimum
@@ -346,6 +348,20 @@ METADATA_TABLE = [
      (), (), None, ('gaussian', (50.0,))),
     ('dilate:shifted gauss*0.5', lambda: P('exp(-(x-1)^2)').affine(2.0, 0.0),
      (), (), None, ('gaussian', (0.5,))),
+    # a positive constant factor or divisor of the exponent keeps its class
+    ('parse:exp(-3*x^2)', lambda: P('exp(-3*x^2)'),
+     (), (), None, ('gaussian',)),
+    ('parse:exp(-x^2/2)', lambda: P('exp(-x^2/2)'),
+     (), (), None, ('gaussian',)),
+    ('parse:exp(-2*abs(x))', lambda: P('exp(-2*abs(x))'),
+     (), (0.0,), None, ('exponential',)),
+    ('parse:exp(-x^2/(-2))', lambda: P('exp(-x^2/(-2))'),
+     (), (), None, ('none',)),
+    # abs(x - c) records its centre c, as (x - c)^(2k) does
+    ('parse:exp(-abs(x+300)^4)', lambda: P('exp(-abs(x+300)^4)'),
+     (), (-300.0,), None, ('gaussian', (-300.0,))),
+    ('parse:exp(-abs(x-2))', lambda: P('exp(-abs(x-2))'),
+     (), (2.0,), None, ('exponential', (2.0,))),
 ]
 
 
@@ -444,3 +460,104 @@ class TestConstantSubtrees:
     def test_constant_broadcasts(self):
         out = P("2.5").values(np.zeros((2, 3)))
         assert out.shape == (2, 3) and (out == 2.5).all()
+
+
+def _distinct(node):
+    """The number of distinct node objects under ``node``."""
+    seen, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            todo.extend(expr._children(n))
+    return len(seen)
+
+
+def _fourth(e):
+    for _ in range(4):
+        e = e.diff()
+    return e
+
+
+class TestCompactDerivatives:
+    """diff() builds a small DAG from canonical, interned nodes, and values()
+    evaluates each distinct node once."""
+
+    # closed forms of the fourth derivatives
+    CLOSED = [
+        ("x*exp(-x^2)", lambda x: (16 * x**5 - 80 * x**3 + 60 * x) * np.exp(-x * x)),
+        ("exp(-x^2)", lambda x: (16 * x**4 - 48 * x**2 + 12) * np.exp(-x * x)),
+        ("(x^2+1)^(-1)", lambda x: 24 * (5 * x**4 - 10 * x**2 + 1) / (x * x + 1) ** 5),
+    ]
+
+    @pytest.mark.parametrize("src,closed", CLOSED, ids=[c[0] for c in CLOSED])
+    def test_fourth_derivative_against_closed_form(self, src, closed):
+        xs = np.linspace(-6.0, 6.0, 2001)
+        want = closed(xs)
+        got = _fourth(P(src)).values(xs)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("src", ["x*exp(-x^2)", "(x^2+1)^(-1)"])
+    def test_fourth_derivative_is_small(self, src):
+        assert _distinct(_fourth(P(src)).root) <= 100
+
+    def test_poisson_kernel_fourth_derivative_is_small(self):
+        from lprim.poisson import _kernel_n
+        assert _distinct(_kernel_n(0.7, 4).root) <= 100
+
+    def test_canonical_constructors(self):
+        x = expr.Var()
+        two = expr.const(2.0)
+        assert expr.pow_(x, 1.0) is x
+        assert expr.pow_(x, 0.0) is expr.const(1.0)
+        assert expr.add(x, expr.const(0.0)) is x
+        assert expr.mul(expr.const(1.0), x) is x
+        assert expr.mul(x, expr.const(0.0)) is expr.const(0.0)
+        assert expr.mul(two, expr.const(3.0)).v == 6.0
+        assert expr.call("exp", expr.const(0.0)).v == 1.0
+        # constant factors merge to the front; -a is -1 * a
+        m = expr.mul(two, expr.mul(x, expr.const(3.0)))
+        assert isinstance(m, expr.Mul) and m.a.v == 6.0 and m.b is x
+        assert expr.neg(expr.neg(x)) is x
+        # equal structures are one object
+        assert expr.mul(x, expr.pow_(x, 2.0)) is expr.mul(x, expr.pow_(x, 2.0))
+
+    def test_x_to_the_0_and_1_differentiate_to_constants(self):
+        assert isinstance(P("x^1").diff().root, expr.Const)
+        assert P("x^1").diff().root.v == 1.0
+        assert P("x^0").diff().root.v == 0.0
+        assert P("x^2").diff().diff().root.v == 2.0
+
+    def test_each_distinct_node_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def exp(v):
+            calls.append(np.size(v))
+            return np.exp(v)
+
+        monkeypatch.setitem(expr._UNARY_EV, "exp", exp)
+        d4 = _fourth(P("x*exp(-x^2)"))
+        xs = np.linspace(-1.0, 1.0, 7)
+        want = (16 * xs**5 - 80 * xs**3 + 60 * xs) * np.exp(-xs * xs)
+        assert d4.values(xs) == pytest.approx(want, rel=1e-13, abs=1e-13)
+        assert calls == [7]
+
+    def test_large_input_is_evaluated_in_slices(self):
+        # a DAG's values are computed a slice at a time; shape and values hold
+        d4 = _fourth(P("x*exp(-x^2)"))
+        xs = np.linspace(-6.0, 6.0, 3 * expr._SLICE + 5).reshape(-1, 1)
+        got = d4.values(xs)
+        assert got.shape == xs.shape
+        assert np.array_equal(got[:7, 0], d4.values(xs[:7, 0]))
+        want = self.CLOSED[0][1](xs)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_no_derivative_outlives_its_caller(self):
+        F = P("x*exp(-x^2)")
+        gc.collect()
+        before = len(expr._POOL)
+        d4 = _fourth(F)
+        assert len(expr._POOL) > before
+        del d4
+        gc.collect()
+        assert len(expr._POOL) == before

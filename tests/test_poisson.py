@@ -61,6 +61,22 @@ class TestKernel:
                 assert _kernel_n(y, n).values(np.array(xs)) == pytest.approx(
                     want, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("y", (0.05, 0.7, 3.0))
+    def test_kernel_n_against_complex_closed_form(self, y):
+        # Phi_y^(n)(x) = ((-1)^n n!/pi) Im[(x+iy)^(n+1)] / (x^2+y^2)^(n+1)
+        xs = np.linspace(-6.0, 6.0, 1201)
+        for n in range(5):
+            want = ((-1) ** n * math.factorial(n) / math.pi
+                    * np.imag((xs + 1j * y) ** (n + 1)) / (xs * xs + y * y) ** (n + 1))
+            got = _kernel_n(y, n).values(xs)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (y, n)
+
+    def test_kernel_metadata(self):
+        # the power-2 tag sets the tail rule of every Poisson integral
+        K = _kernel_expr(0.7)
+        assert (K.singularities, K.kinks, K.support, K.decay) == ((), (), None, ("power", 2.0))
+        assert _kernel_n(0.7, 3).decay == ("power", 2.0)
+
     def test_upper_half_plane_only(self):
         with pytest.raises(LprimError):
             HalfPlanePoint(0.0, -1.0)

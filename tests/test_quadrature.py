@@ -113,6 +113,11 @@ class TestDecayCentres:
         ("exp(-(x+300)^4)", QUARTIC),
         ("x*exp(-(x-50)^2)", 50 * SQRT_PI),
         ("exp(-(x-50)^2)+exp(-(x+30)^4)", SQRT_PI + QUARTIC),
+        # a narrow bump at a far kink: the centre cuts place nodes on it
+        ("exp(-abs(x+300)^4)", QUARTIC),
+        # scaled exponents keep their decay class
+        ("exp(-3*x^2)", math.sqrt(math.pi / 3)),
+        ("exp(-x^2/2)", math.sqrt(2 * math.pi)),
     ])
     def test_line_integral(self, src, want):
         res = integrate_line(parse_expr(src))
