@@ -84,22 +84,36 @@ def decay_mul(d1, d2, g1, g2):
 #
 # ``ev(x, m)`` runs inside the caller's ``np.errstate`` (FunctionExpr.values
 # and __call__ enter it once per evaluation), on float arrays or numpy
-# scalars.  ``m`` is the call's memo of interned nodes (see _memo_class).
+# scalars.  Its memo ``m`` keeps the values of interned nodes, which may have
+# several parents in a DAG; other values are freed after their one use.
+
+_SLICE = 1 << 16  # points per ev() pass in FunctionExpr.values: a bounded memo
 
 
 class Node:
     """Base expression node."""
 
-    _memo = False  # True for interned nodes, whose values go in the memo
+    _interned = False  # True for nodes from the canonical constructors
 
     def ev(self, x, m):
+        v = m.get(self)
+        if v is None:
+            v = self._ev(x, m)
+            if self._interned:
+                m[self] = v
+        return v
+
+    def _ev(self, x, m):
         raise NotImplementedError
 
     def diff(self):
-        """Almost-everywhere derivative of this node's canonical copy, built
-        from the canonical constructors; each distinct node is differentiated once."""
+        """Almost-everywhere derivative of the canonical copy of this node:
+        each distinct node is differentiated once, and nothing is kept."""
         d = functools.cache(lambda n: n.deriv(d))
-        return d(_canonical(self))
+        try:
+            return d(_canonical(self))
+        finally:
+            d.cache_clear()  # the cache and d form a cycle: leave no node in it
 
     def deriv(self, d):
         """The derivative, given ``d``, which differentiates a child."""
@@ -115,7 +129,7 @@ class Const(Node):
         self.v = float(v)
         self._scalar = np.float64(self.v)
 
-    def ev(self, x, m):
+    def ev(self, x, m):  # a leaf: no memo
         # a numpy scalar broadcasts against array siblings and keeps numpy's
         # inf/nan arithmetic in constant subtrees
         return self._scalar
@@ -128,7 +142,7 @@ class Const(Node):
 
 
 class Var(Node):
-    def ev(self, x, m):
+    def ev(self, x, m):  # a leaf: no memo
         return x
 
     def deriv(self, d):
@@ -149,7 +163,7 @@ class _Binary(Node):
 
 
 class Add(_Binary):
-    def ev(self, x, m):
+    def _ev(self, x, m):
         return self.a.ev(x, m) + self.b.ev(x, m)
 
     def deriv(self, d):
@@ -157,7 +171,7 @@ class Add(_Binary):
 
 
 class Sub(_Binary):
-    def ev(self, x, m):
+    def _ev(self, x, m):
         return self.a.ev(x, m) - self.b.ev(x, m)
 
     def deriv(self, d):
@@ -165,7 +179,7 @@ class Sub(_Binary):
 
 
 class Mul(_Binary):
-    def ev(self, x, m):
+    def _ev(self, x, m):
         return self.a.ev(x, m) * self.b.ev(x, m)
 
     def deriv(self, d):
@@ -173,7 +187,7 @@ class Mul(_Binary):
 
 
 class Div(_Binary):
-    def ev(self, x, m):
+    def _ev(self, x, m):
         return self.a.ev(x, m) / self.b.ev(x, m)
 
     def deriv(self, d):
@@ -185,7 +199,7 @@ class Neg(Node):
     def __init__(self, a):
         self.a = a
 
-    def ev(self, x, m):
+    def _ev(self, x, m):
         return -self.a.ev(x, m)
 
     def deriv(self, d):
@@ -203,7 +217,7 @@ class Pow(Node):
         self.expo = float(expo)
         self._is_int = self.expo == int(self.expo) and abs(self.expo) < 64
 
-    def ev(self, x, m):
+    def _ev(self, x, m):
         b = self.base.ev(x, m)
         if not self._is_int:
             return np.power(b, self.expo)
@@ -227,8 +241,7 @@ class Pow(Node):
         return 1.0 / acc if neg else acc
 
     def deriv(self, d):
-        # pow_ turns x^0 into 1 and x^1 into x, so x and x^2 differentiate
-        # to constants, with no 0/0 at x = 0
+        # pow_ turns x^1 into x and x^0 into 1: no 0/0 at x = 0 in x' or x^2''
         return mul(const(self.expo), mul(pow_(self.base, self.expo - 1.0), d(self.base)))
 
     def subst_affine(self, a, b):
@@ -257,7 +270,7 @@ class Call(Node):
         self.name = name
         self.arg = arg
 
-    def ev(self, x, m):
+    def _ev(self, x, m):
         return _UNARY_EV[self.name](self.arg.ev(x, m))
 
     def deriv(self, d):
@@ -295,7 +308,7 @@ class Indicator(Node):
         self.a = float(a)
         self.b = float(b)
 
-    def ev(self, x, m):
+    def _ev(self, x, m):
         return 0.5 * (np.sign(np.subtract(x, self.a)) - np.sign(np.subtract(x, self.b)))
 
     def deriv(self, d):
@@ -314,8 +327,9 @@ _CMP = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equ
         "=": np.equal}
 
 
-class Cmp:
-    """Comparison used in piecewise conditions."""
+class Cmp(Node):
+    """Comparison used in piecewise conditions.  Its operands' values go in
+    the memo, as maximum and minimum take them as branches too."""
 
     OPS = tuple(_CMP)
 
@@ -326,8 +340,9 @@ class Cmp:
         self.op = op
         self.rhs = rhs
 
-    def ev(self, x, m):
-        return _CMP[self.op](self.lhs.ev(x, m), self.rhs.ev(x, m))
+    def _ev(self, x, m):
+        m[self.lhs], m[self.rhs] = self.lhs.ev(x, m), self.rhs.ev(x, m)
+        return _CMP[self.op](m[self.lhs], m[self.rhs])
 
     def subst_affine(self, a, b):
         return Cmp(self.lhs.subst_affine(a, b), self.op, self.rhs.subst_affine(a, b))
@@ -340,8 +355,8 @@ class Piecewise(Node):
         self.branches = list(branches)
         self.otherwise = otherwise if otherwise is not None else Const(0.0)
 
-    def ev(self, x, m):
-        out = self.otherwise.ev(x, m)
+    def _ev(self, x, m):
+        out = m[self.otherwise] = self.otherwise.ev(x, m)  # kept, as in Cmp
         for cond, node in reversed(self.branches):
             out = np.where(cond.ev(x, m), node.ev(x, m), out)
         return out
@@ -365,7 +380,7 @@ class Wrapped(Node):
         self.name = name
         self.growth_hint = growth_hint
 
-    def ev(self, x, m):
+    def _ev(self, x, m):
         if np.ndim(x):
             return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
         return np.float64(self.fn(np.asarray([x], dtype=float))[0])
@@ -383,20 +398,6 @@ class Wrapped(Node):
 # subtrees are one object, until nothing else holds them.
 
 _POOL = {}  # structure key -> weak reference to the node
-_SLICE = 4096  # points per pass over a DAG, so that its memo stays in cache
-
-
-@functools.cache
-def _memo_class(cls):
-    """``cls`` for interned nodes: with many parents in a derivative's DAG,
-    the value is kept in the call's memo; tree nodes pay for no memo."""
-    def ev(self, x, m):
-        v = m.get(self)
-        if v is None:
-            v = m[self] = cls.ev(self, x, m)
-        return v
-
-    return type(cls.__name__, (cls,), {"ev": ev, "_memo": True})
 
 
 def _make(cls, *args):
@@ -411,10 +412,10 @@ def _make(cls, *args):
         with np.errstate(all="ignore"):
             return const(cls(*args).ev(None, {}))
     key = tuple(key)
-    ref = _POOL.get(key)
-    node = None if ref is None else ref()
+    node = _POOL.get(key, lambda: None)()  # None, or the live node of the key
     if node is None:
-        node = (cls if cls in (Const, Var) else _memo_class(cls))(*args)
+        node = cls(*args)
+        node._interned = True
         # the entry goes with the node, unless a new node has taken the key
         _POOL[key] = weakref.ref(node, lambda r: _POOL.get(key) is r and _POOL.pop(key))
     return node
@@ -468,7 +469,7 @@ def call(name, arg):
 def _canonical(n):
     """``n`` rebuilt from the canonical constructors.  Interned nodes, and
     indicators, branches and wrapped callables, are kept as they are."""
-    if n._memo or isinstance(n, (Indicator, Piecewise, Wrapped)):
+    if n._interned or isinstance(n, (Indicator, Piecewise, Wrapped)):
         return n
     if isinstance(n, (Const, Var)):
         return const(n.v) if isinstance(n, Const) else _make(Var)
@@ -590,19 +591,14 @@ def _neg_arg_decay(arg):
         if isinstance(n, Pow) and n.expo > 0:
             c = _zero_of(n.base) if isinstance(n.base, (Var, Add, Sub)) else None
             if c is not None:
-                e = n.expo
-                return (e, (c,)) if e == int(e) and int(e) % 2 == 0 else None
+                return (n.expo, (c,)) if n.expo % 2 == 0 else None  # even powers
             inner = power_of(n.base)
             return None if inner is None else (inner[0] * n.expo, inner[1])
         return None  # Var alone is odd: grows at +inf only
 
     c, m = _scaled(arg)
     g, centres = (power_of(m) if c < 0 and m is not None else None) or (0.0, ())
-    if g >= 2:
-        return _fast_decay("gaussian", centres)
-    if g >= 1:
-        return _fast_decay("exponential", centres)
-    return ("none",)
+    return _fast_decay("gaussian" if g >= 2 else "exponential", centres) if g >= 1 else ("none",)
 
 
 # ---------------------------------------------------------------------------
@@ -752,11 +748,13 @@ class FunctionExpr:
         """Vectorized evaluation; caller keeps clear of singular points."""
         xs = np.asarray(xs, dtype=float)
         with np.errstate(all="ignore"):
-            if self.root._memo and xs.size > _SLICE:
-                out = np.concatenate([self.root.ev(xs.ravel()[i:i + _SLICE], {})
-                                      for i in range(0, xs.size, _SLICE)]).reshape(xs.shape)
-            else:
+            if xs.size <= _SLICE:
                 out = np.asarray(self.root.ev(xs, {}), dtype=float)
+            else:  # a slice at a time, so that the memo stays small
+                flat, out = xs.ravel(), np.empty(xs.size)
+                for i in range(0, xs.size, _SLICE):
+                    out[i:i + _SLICE] = self.root.ev(flat[i:i + _SLICE], {})
+                out = out.reshape(xs.shape)
         if out.shape != xs.shape:
             out = np.broadcast_to(out, xs.shape).copy()
         if self.support is not None:
@@ -773,8 +771,7 @@ class FunctionExpr:
         for s in self.singularities + self.kinks:
             if abs(x - s) < 1e-12:
                 raise JetError(f"jet at non-smooth point {s}")
-        out = []
-        node = self.root
+        out, node = [], self.root
         for i in range(k + 1):
             v = FunctionExpr(node)(x)
             if not math.isfinite(v):

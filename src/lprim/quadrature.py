@@ -802,19 +802,22 @@ def _fl_segments(f, a, b, cfg, hmax):
 def _filon_sum(lo, hi, coef, s):
     """Sum over the panels of the integral of each panel's Legendre series
     times e^{-isx}, for every s; panels of equal width share moments, which
-    come from one spherical_jn call per chunk of _FL_MOMENT_BATCH values."""
+    come from one spherical_jn call per chunk of (s, width) pairs."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     weighted = coef * _FL_MOMENT
     k = np.arange(_FL_N)
     out = np.zeros(s.size, dtype=complex)
     widths = np.unique(half)
-    step = max(1, _FL_MOMENT_BATCH // (s.size * _FL_N))
-    for c in range(0, widths.size, step):
-        moments = _sp_spherical_jn(k, s[:, None, None] * widths[c:c + step, None])
-        for h, m in zip(widths[c:c + step], moments.transpose(1, 0, 2)):  # (q, k) each
-            sel = half == h
-            phase = np.exp(-1j * np.outer(s, mid[sel]))
-            out += h * np.einsum("qk,qk->q", m, phase @ weighted[sel])
+    pairs = max(1, _FL_MOMENT_BATCH // _FL_N)  # (s, width) pairs per call
+    nw = max(1, min(widths.size, pairs // max(1, s.size)))  # widths per call
+    for i in range(0, s.size, pairs // nw):  # every s at once, unless many
+        sq = s[i:i + pairs // nw]
+        for c in range(0, widths.size, nw):
+            moments = _sp_spherical_jn(k, sq[:, None, None] * widths[c:c + nw, None])
+            for h, m in zip(widths[c:c + nw], moments.transpose(1, 0, 2)):  # (q, k) each
+                sel = half == h
+                phase = np.exp(-1j * np.outer(sq, mid[sel]))
+                out[i:i + sq.size] += h * np.einsum("qk,qk->q", m, phase @ weighted[sel])
     return out
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,19 @@ class TestTransforms:
         lo = minimum(f, g)
         assert vals(hi, [-1.0, 1.0]) == pytest.approx([0.0, 1.0])
         assert vals(lo, [-1.0, 1.0]) == pytest.approx([-1.0, 0.0])
+
+    @pytest.mark.parametrize("op", [maximum, minimum])
+    def test_lattice_operands_evaluated_once(self, op):
+        calls = []
+
+        def counted(fn):
+            return FunctionExpr(Wrapped(lambda xs: calls.append(fn.__name__) or fn(xs)))
+
+        e = op(counted(np.sin), counted(np.cos))
+        xs = np.linspace(-2.0, 2.0, 9)
+        want = (np.maximum if op is maximum else np.minimum)(np.sin(xs), np.cos(xs))
+        assert np.array_equal(e.values(xs), want)
+        assert sorted(calls) == ["cos", "sin"]
 
 
 class TestJets:
@@ -543,7 +557,7 @@ class TestCompactDerivatives:
         assert calls == [7]
 
     def test_large_input_is_evaluated_in_slices(self):
-        # a DAG's values are computed a slice at a time; shape and values hold
+        # values are computed a slice at a time; shape and values hold
         d4 = _fourth(P("x*exp(-x^2)"))
         xs = np.linspace(-6.0, 6.0, 3 * expr._SLICE + 5).reshape(-1, 1)
         got = d4.values(xs)
@@ -552,12 +566,31 @@ class TestCompactDerivatives:
         want = self.CLOSED[0][1](xs)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    def test_memory_of_a_wrapped_derivative_is_bounded(self):
+        # operator-built nodes over the DAG of a 4th derivative: the memo of
+        # its 28 values is kept for one slice, not for all 2M points (16 MB each)
+        d = abs(_fourth(P("x*exp(-x^2)"))).power(2)
+        xs = np.linspace(-6.0, 6.0, 1 << 21)
+        tracemalloc.start()
+        try:
+            got = d.values(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * xs.nbytes  # the output, its slices and the memo
+        assert np.array_equal(got[:9], d.values(xs[:9]))
+
     def test_no_derivative_outlives_its_caller(self):
+        # reference counting alone frees a dropped derivative and its pool
+        # entries: diff() leaves no cycle that holds nodes
         F = P("x*exp(-x^2)")
         gc.collect()
-        before = len(expr._POOL)
-        d4 = _fourth(F)
-        assert len(expr._POOL) > before
-        del d4
-        gc.collect()
-        assert len(expr._POOL) == before
+        gc.disable()
+        try:
+            before = len(expr._POOL)
+            d4 = _fourth(F)
+            assert len(expr._POOL) > before
+            del d4
+            assert len(expr._POOL) == before
+        finally:
+            gc.enable()

@@ -149,26 +149,26 @@ class TestFilonRule:
             points[s] = seen[0]
         assert points[1000.0] <= 1.5 * points[0.5], points
 
-    @pytest.mark.parametrize("batch", (1 << 18, 200))
-    def test_batched_moments_match_the_per_width_loop(self, batch, monkeypatch):
+    @staticmethod
+    def per_width(lo, hi, coef, s):
         # the reference: one spherical_jn call per distinct panel half-width
-        def per_width(lo, hi, coef, s):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            weighted = coef * quadrature._FL_MOMENT
-            k = np.arange(quadrature._FL_N)
-            out = np.zeros(s.size, dtype=complex)
-            for h in np.unique(half):
-                sel = half == h
-                moments = spherical_jn(k, s[:, None] * h)
-                phase = np.exp(-1j * np.outer(s, mid[sel]))
-                out += h * np.einsum("qk,qk->q", moments, phase @ weighted[sel])
-            return out
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        weighted = coef * quadrature._FL_MOMENT
+        k = np.arange(quadrature._FL_N)
+        out = np.zeros(s.size, dtype=complex)
+        for h in np.unique(half):
+            sel = half == h
+            moments = spherical_jn(k, s[:, None] * h)
+            phase = np.exp(-1j * np.outer(s, mid[sel]))
+            out += h * np.einsum("qk,qk->q", moments, phase @ weighted[sel])
+        return out
 
+    @staticmethod
+    def batched(monkeypatch, n_panels, widths, s, batch=1 << 18):
         rng = np.random.default_rng(7)
-        lo = np.sort(rng.uniform(-8.0, 8.0, 40))
-        hi = lo + rng.choice([0.125, 0.25, 0.5, 1.0, 2.0], lo.size)
+        lo = np.sort(rng.uniform(-8.0, 8.0, n_panels))
+        hi = lo + rng.choice(widths, lo.size)
         coef = rng.standard_normal((lo.size, quadrature._FL_N))
-        s = np.array([-3.0, 0.5, 7.0, 120.0])
         calls = []
 
         def counted(k, z):
@@ -178,9 +178,22 @@ class TestFilonRule:
         monkeypatch.setattr(quadrature, "_FL_MOMENT_BATCH", batch)
         monkeypatch.setattr(quadrature, "_sp_spherical_jn", counted)
         got = quadrature._filon_sum(lo, hi, coef, s)
-        assert np.array_equal(got, per_width(lo, hi, coef, s))
+        return got, TestFilonRule.per_width(lo, hi, coef, s), calls
+
+    @pytest.mark.parametrize("batch", (1 << 18, 200))
+    def test_batched_moments_match_the_per_width_loop(self, batch, monkeypatch):
+        s = np.array([-3.0, 0.5, 7.0, 120.0])
+        got, want, calls = self.batched(monkeypatch, 40, [0.125, 0.25, 0.5, 1.0, 2.0], s, batch)
+        assert np.array_equal(got, want)
         # 5 widths at 4 s and 32 moments: one call, or one per width at 200
         assert len(calls) == (1 if batch > 5 * 4 * 32 else 5)
+
+    def test_many_s_are_chunked_too(self, monkeypatch):
+        # 8,200 s at 32 moments is more than 2^18: two chunks of s per width
+        s = np.linspace(-50.0, 50.0, 8200)
+        got, want, calls = self.batched(monkeypatch, 6, [0.5, 1.0], s)
+        assert np.array_equal(got, want)
+        assert len(calls) == 4 and max(calls) <= 1 << 18
 
     def test_unmet_tolerance_raises_naming_layer_and_s(self):
         with pytest.raises(ConvergenceError, match=r"fourier: .*s=3\.0"):
