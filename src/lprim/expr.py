@@ -120,8 +120,22 @@ class Node:
         raise LprimError(f"{type(self).__name__} is not differentiable")
 
     def subst_affine(self, a, b):
-        """The node as a function of t where x = a*t + b."""
+        """The node as a function of t where x = a*t + b.  Each distinct
+        node is copied once, so a DAG stays a DAG, and the copy of an
+        interned node is interned, so the evaluator's memo keeps it."""
+        s = functools.cache(lambda n: n._subst(s, a, b))
+        try:
+            return s(self)
+        finally:
+            s.cache_clear()  # the cache and s form a cycle, as in diff()
+
+    def _subst(self, s, a, b):
+        """The substituted copy, given ``s``, which substitutes a child."""
         raise NotImplementedError
+
+    def _rebuild(self, *args):
+        """This node's kind on new arguments, interned if this node is."""
+        return _build(self._interned, type(self), *args)
 
 
 class Const(Node):
@@ -137,7 +151,7 @@ class Const(Node):
     def deriv(self, d):
         return const(0.0)
 
-    def subst_affine(self, a, b):
+    def _subst(self, s, a, b):
         return self
 
 
@@ -148,9 +162,10 @@ class Var(Node):
     def deriv(self, d):
         return const(1.0)
 
-    def subst_affine(self, a, b):
-        node = Var() if a == 1.0 else Mul(Const(a), Var())
-        return Add(node, Const(b)) if b else node
+    def _subst(self, s, a, b):
+        k = self._interned
+        node = self if a == 1.0 else _build(k, Mul, _build(k, Const, a), self)
+        return _build(k, Add, node, _build(k, Const, b)) if b else node
 
 
 class _Binary(Node):
@@ -158,8 +173,8 @@ class _Binary(Node):
         self.a = a
         self.b = b
 
-    def subst_affine(self, a, b):
-        return type(self)(self.a.subst_affine(a, b), self.b.subst_affine(a, b))
+    def _subst(self, s, a, b):
+        return self._rebuild(s(self.a), s(self.b))
 
 
 class Add(_Binary):
@@ -205,8 +220,8 @@ class Neg(Node):
     def deriv(self, d):
         return neg(d(self.a))
 
-    def subst_affine(self, a, b):
-        return Neg(self.a.subst_affine(a, b))
+    def _subst(self, s, a, b):
+        return self._rebuild(s(self.a))
 
 
 class Pow(Node):
@@ -244,8 +259,8 @@ class Pow(Node):
         # pow_ turns x^1 into x and x^0 into 1: no 0/0 at x = 0 in x' or x^2''
         return mul(const(self.expo), mul(pow_(self.base, self.expo - 1.0), d(self.base)))
 
-    def subst_affine(self, a, b):
-        return Pow(self.base.subst_affine(a, b), self.expo)
+    def _subst(self, s, a, b):
+        return self._rebuild(s(self.base), self.expo)
 
 
 _UNARY_EV = {
@@ -291,8 +306,8 @@ class Call(Node):
         }
         return table[self.name]()
 
-    def subst_affine(self, a, b):
-        return Call(self.name, self.arg.subst_affine(a, b))
+    def _subst(self, s, a, b):
+        return self._rebuild(self.name, s(self.arg))
 
 
 class Indicator(Node):
@@ -314,7 +329,7 @@ class Indicator(Node):
     def deriv(self, d):
         return const(0.0)  # a.e. derivative
 
-    def subst_affine(self, a, b):
+    def _subst(self, s, a, b):
         # x = a*t + b lies in (lo, hi)  <=>  t in the transformed interval
         lo = (self.a - b) / a
         hi = (self.b - b) / a
@@ -344,8 +359,8 @@ class Cmp(Node):
         m[self.lhs], m[self.rhs] = self.lhs.ev(x, m), self.rhs.ev(x, m)
         return _CMP[self.op](m[self.lhs], m[self.rhs])
 
-    def subst_affine(self, a, b):
-        return Cmp(self.lhs.subst_affine(a, b), self.op, self.rhs.subst_affine(a, b))
+    def _subst(self, s, a, b):
+        return Cmp(s(self.lhs), self.op, s(self.rhs))
 
 
 class Piecewise(Node):
@@ -364,11 +379,8 @@ class Piecewise(Node):
     def deriv(self, d):
         return Piecewise([(c, d(n)) for c, n in self.branches], d(self.otherwise))
 
-    def subst_affine(self, a, b):
-        return Piecewise(
-            [(c.subst_affine(a, b), n.subst_affine(a, b)) for c, n in self.branches],
-            self.otherwise.subst_affine(a, b),
-        )
+    def _subst(self, s, a, b):
+        return Piecewise([(s(c), s(n)) for c, n in self.branches], s(self.otherwise))
 
 
 class Wrapped(Node):
@@ -385,7 +397,7 @@ class Wrapped(Node):
             return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
         return np.float64(self.fn(np.asarray([x], dtype=float))[0])
 
-    def subst_affine(self, a, b):
+    def _subst(self, s, a, b):
         base = self.fn
         return Wrapped(lambda xs: base(a * xs + b), name=f"{self.name}@affine",
                        growth_hint=self.growth_hint)
@@ -419,6 +431,10 @@ def _make(cls, *args):
         # the entry goes with the node, unless a new node has taken the key
         _POOL[key] = weakref.ref(node, lambda r: _POOL.get(key) is r and _POOL.pop(key))
     return node
+
+
+def _build(interned, cls, *args):
+    return _make(cls, *args) if interned else cls(*args)
 
 
 def const(v):
@@ -506,18 +522,14 @@ def _children(node):
 
 
 def _zero_of(node):
-    """If ``node`` vanishes exactly at one known point, return it."""
-    if isinstance(node, Var):
-        return 0.0
+    """If ``node`` vanishes exactly at one known point, return it: the root
+    of an affine k*x + d (k != 0), under abs and positive powers."""
     if isinstance(node, Call) and node.name == "abs":
         return _zero_of(node.arg)
-    if isinstance(node, Sub) and isinstance(node.a, Var) and isinstance(node.b, Const):
-        return node.b.v
-    if isinstance(node, Add) and isinstance(node.a, Var) and isinstance(node.b, Const):
-        return -node.b.v
     if isinstance(node, Pow) and node.expo > 0:
         return _zero_of(node.base)
-    return None
+    line = _line(node)
+    return None if line is None or line[0] == 0.0 else _root(line)
 
 
 def growth(node):
@@ -561,7 +573,9 @@ def growth(node):
 
 def _scaled(n):
     """``n`` as (c, m) with n = c*m: c is read off constants, negations,
-    constant factors and constant divisors, and m is None when n is constant."""
+    constant factors and constant divisors, and m is None when n is constant.
+    A product of two non-constant factors gives up the constants of both,
+    m being a new product of the rest: -x*x is (-1, x*x)."""
     if isinstance(n, Const):
         return n.v, None
     if isinstance(n, Neg):
@@ -573,27 +587,58 @@ def _scaled(n):
             return ca / cb, ma
         if isinstance(n, Mul) and None in (ma, mb):
             return ca * cb, mb if ma is None else ma
+        if isinstance(n, Mul):
+            return ca * cb, n if ma is n.a and mb is n.b else Mul(ma, mb)
     return 1.0, n
+
+
+def _line(n):
+    """``n`` as (k, d) with n = k*x + d, or None when it is not affine in x."""
+    if isinstance(n, Var):
+        return 1.0, 0.0
+    if isinstance(n, (Add, Sub)):
+        la = _line(n.a)
+        lb = None if la is None else _line(n.b)
+        if lb is None:
+            return None
+        sign = 1.0 if isinstance(n, Add) else -1.0
+        return la[0] + sign * lb[0], la[1] + sign * lb[1]
+    c, m = _scaled(n)
+    if m is None:
+        return 0.0, c
+    line = None if m is n else _line(m)
+    return None if line is None else (c * line[0], c * line[1])
+
+
+def _root(line):
+    """The root of k*x + d, given (k, d) with k != 0."""
+    return -line[1] / line[0] + 0.0  # + 0.0: the root 0 without a sign
 
 
 def _neg_arg_decay(arg):
     """Decay class of exp(arg) when arg -> -infinity like -c |x|^gamma, c > 0."""
 
     def power_of(n):
-        # matches |x - c|^g shapes: (x - c)^(2k), abs(x - c)^g, positive
-        # multiples, as (g, centres).  The tag records c: no feature point
-        # marks it under an even power, and a kink alone misses a narrow peak
+        # matches |x - c|^g shapes: (k*x - d)^(2m), (k*x - d)*(j*x - e) with
+        # one root and k*j > 0, abs(x - c)^g, positive multiples, as
+        # (g, centres).  The tag records the root c: no feature point marks
+        # it under an even power, and a kink alone misses a narrow peak
         c, m = _scaled(n)
         if m is not n:
             return power_of(m) if c > 0 and m is not None else None
         if isinstance(n, Call) and n.name == "abs" and _zero_of(n.arg) is not None:
             return 1.0, (_zero_of(n.arg),)
         if isinstance(n, Pow) and n.expo > 0:
-            c = _zero_of(n.base) if isinstance(n.base, (Var, Add, Sub)) else None
-            if c is not None:
-                return (n.expo, (c,)) if n.expo % 2 == 0 else None  # even powers
+            line = _line(n.base)
+            if line is not None and line[0] != 0.0:
+                # even powers only: an odd one grows at one end
+                return (n.expo, (_root(line),)) if n.expo % 2 == 0 else None
             inner = power_of(n.base)
             return None if inner is None else (inner[0] * n.expo, inner[1])
+        if isinstance(n, Mul):
+            la, lb = _line(n.a), _line(n.b)
+            if la and lb and la[0] * lb[0] > 0.0 and _root(la) == _root(lb):
+                return 2.0, (_root(la),)
         return None  # Var alone is odd: grows at +inf only
 
     c, m = _scaled(arg)

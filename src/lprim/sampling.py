@@ -5,6 +5,14 @@ represented as cubic splines over per-segment adaptive samples, with the
 segments cut at the points where the target can lose smoothness.  The
 spline error is driven below a requested tolerance by doubling the sample
 density and testing the interpolant against fresh midpoint evaluations.
+
+Each segment's interpolant is the not-a-knot cubic spline through its
+samples.  Its slopes come from one LAPACK tridiagonal solve (`dgtsv`) per
+refinement round, on the system scipy's cubic spline hands to the same
+routine, and the cubic pieces use the coefficients and summation order of
+scipy's `CubicHermiteSpline` and `PPoly`: the values are scipy's spline
+values to the last bit, without a spline object per round.  The finished
+function is one `PPoly` over the joined segments.
 """
 
 from __future__ import annotations
@@ -12,31 +20,54 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly
+from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError
 from .expr import FunctionExpr, Wrapped
 
 
-class _SegmentSpline:
-    """Cubic interpolants per smooth segment, zero outside the domain."""
+def _cubic(x, y):
+    """Coefficients (highest power first, as in PPoly) of the not-a-knot
+    cubic spline through (x, y); x strictly increasing with >= 4 points."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n = len(x)
+    # scipy's tridiagonal system: rows 1..n-2 match first derivatives,
+    # rows 0 and n-1 are the not-a-knot conditions
+    d = np.empty(n)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    d[0], d[-1] = dx[1], dx[-2]
+    du = np.empty(n - 1)
+    du[1:] = dx[:-1]
+    du[0] = x[2] - x[0]
+    dl = np.empty(n - 1)
+    dl[:-1] = dx[1:]
+    dl[-1] = x[-1] - x[-3]
+    rhs = np.empty(n)
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    w = x[2] - x[0]
+    rhs[0] = ((dx[0] + 2 * w) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / w
+    w = x[-1] - x[-3]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * w + dx[-1]) * dx[-2] * slope[-1]) / w
+    *_, s, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
+    if info:
+        raise ConvergenceError("sample_function: singular spline system")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
-    def __init__(self, edges, splines, lo, hi):
-        self.edges = np.asarray(edges)
-        self.splines = splines
-        self.lo = lo
-        self.hi = hi
+
+class _Spline:
+    """One piecewise cubic over [lo, hi], zero outside."""
+
+    def __init__(self, knots, coefs):
+        self.pp = PPoly.construct_fast(coefs, knots, extrapolate=False)
+        self.lo, self.hi = knots[0], knots[-1]
 
     def __call__(self, xs):
         xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        idx = np.clip(np.searchsorted(self.edges, xs, side="right") - 1, 0,
-                      len(self.splines) - 1)
-        inside = (xs >= self.lo) & (xs <= self.hi)
-        for k, sp in enumerate(self.splines):
-            m = inside & (idx == k)
-            if m.any():
-                out[m] = sp(xs[m])
+        out = self.pp(xs)
+        out[~((xs >= self.lo) & (xs <= self.hi))] = 0.0
         return out
 
 
@@ -56,13 +87,17 @@ def sample_function(
     ``breakpoints`` are interior points where smoothness may fail; each
     segment between them gets its own spline.  Returns (callable, err_est).
     ``min_spacing`` forces at least that sample density (Poisson kernels
-    need spacing tied to the kernel scale).
+    need spacing tied to the kernel scale).  Raises ConvergenceError when
+    a segment reaches ``max_points`` with its spline error above ``tol``,
+    or when a sample is not finite.
     """
     if hi <= lo:
         raise ConvergenceError("sample_function needs hi > lo")
+    if initial < 3 or max_points < 3:
+        raise ConvergenceError("sample_function needs initial >= 3 and max_points >= 3")
     cuts = sorted({float(lo), float(hi)} | {float(b) for b in breakpoints if lo < b < hi})
-    edges = []
-    splines = []
+    knots = [cuts[:1]]
+    coefs = []
     worst = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         n = initial
@@ -71,12 +106,16 @@ def sample_function(
         n = min(n, max_points)
         xs = np.linspace(a, b, n + 1)
         vals = evaluate(xs)
-        err = math.inf
         while True:
             mids = 0.5 * (xs[:-1] + xs[1:])
             mvals = evaluate(mids)
-            spline = CubicSpline(xs, vals)
-            err = float(np.max(np.abs(spline(mids) - mvals)))
+            c, s = _cubic(xs, vals), mids - xs[:-1]
+            # summed in PPoly's order: the spline's own values, bit for bit
+            guess = c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
+            err = float(np.max(np.abs(guess - mvals)))
+            if not math.isfinite(err):
+                raise ConvergenceError(
+                    f"sample_function: non-finite sample on segment [{a:g}, {b:g}]")
             # interleave the midpoints so the refined grid reuses all values
             xs = np.empty(2 * len(xs) - 1)
             xs[0::2] = np.linspace(a, b, len(mvals) + 1)
@@ -87,11 +126,14 @@ def sample_function(
             vals = vv
             if err <= tol or len(xs) > max_points:
                 break
-        splines.append(CubicSpline(xs, vals))
-        edges.append(a)
+        if err > tol:
+            raise ConvergenceError(
+                f"sample_function: segment [{a:g}, {b:g}] stopped at {len(xs)} points "
+                f"(max_points {max_points}) with spline error {err:.3g} > tol {tol:g}")
+        knots.append(xs[1:])
+        coefs.append(_cubic(xs, vals))
         worst = max(worst, err)
-    edges.append(cuts[-1])
-    return _SegmentSpline(edges, splines, lo, hi), worst
+    return _Spline(np.concatenate(knots), np.concatenate(coefs, axis=1)), worst
 
 
 def sampled_expr(fn, lo, hi, kinks=(), name="<sampled>", outside=None, decay=None):

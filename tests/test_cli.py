@@ -67,7 +67,9 @@ class TestExitCodes:
         assert rows(report)["norm"] == pytest.approx(math.sqrt(math.pi), abs=1e-10)
 
     @pytest.mark.parametrize("src,want", [("exp(-3*x^2)", math.sqrt(math.pi / 3)),
-                                          ("exp(-x^2/2)", math.sqrt(2 * math.pi))])
+                                          ("exp(-x^2/2)", math.sqrt(2 * math.pi)),
+                                          ("exp(-(2*x)^2)", math.sqrt(math.pi) / 2),
+                                          ("exp(-x*x)", math.sqrt(math.pi))])
     def test_norm_of_scaled_gaussian(self, src, want):
         report, code = run("norm", "--p", "1", "--f", src)
         assert code == 0

@@ -371,6 +371,25 @@ METADATA_TABLE = [
      (), (0.0,), None, ('exponential',)),
     ('parse:exp(-x^2/(-2))', lambda: P('exp(-x^2/(-2))'),
      (), (), None, ('none',)),
+    # an even power of a scaled or shifted variable, or a square written as
+    # a product of one affine factor with itself, is even too
+    ('parse:exp(-(2*x)^2)', lambda: P('exp(-(2*x)^2)'),
+     (), (), None, ('gaussian',)),
+    ('parse:exp(-(2*x-1)^2)', lambda: P('exp(-(2*x-1)^2)'),
+     (), (), None, ('gaussian', (0.5,))),
+    ('parse:exp(-x*x)', lambda: P('exp(-x*x)'),
+     (), (), None, ('gaussian',)),
+    ('parse:exp(-(x-1)*(x-1))', lambda: P('exp(-(x-1)*(x-1))'),
+     (), (), None, ('gaussian', (1.0,))),
+    ('parse:exp(-(2*x)^3)', lambda: P('exp(-(2*x)^3)'),
+     (), (), None, ('none',)),
+    ('parse:exp(-x*(-x))', lambda: P('exp(-x*(-x))'),
+     (), (), None, ('none',)),
+    # the root of a scaled affine argument is a kink, a pole or a centre
+    ('parse:exp(-abs(2*x-1))', lambda: P('exp(-abs(2*x-1))'),
+     (), (0.5,), None, ('exponential', (0.5,))),
+    ('parse:1/(2*x-1)', lambda: P('1/(2*x-1)'),
+     (0.5,), (), None, ('power', 1.0)),
     # abs(x - c) records its centre c, as (x - c)^(2k) does
     ('parse:exp(-abs(x+300)^4)', lambda: P('exp(-abs(x+300)^4)'),
      (), (-300.0,), None, ('gaussian', (-300.0,))),
@@ -413,6 +432,15 @@ class TestAffine:
         assert F.affine(1.0, 0.0) is F
         with pytest.raises(LprimError):
             F.affine(0.0, 1.0)
+
+    def test_keeps_the_sharing_of_a_derivative(self):
+        # each distinct node is copied once: the copy of the 28-node DAG
+        # of the 4th derivative stays a DAG (x becomes x + 3)
+        D = _fourth(P("x*exp(-x^2)"))
+        A = D.affine(1.0, 3.0)
+        assert _distinct(A.root) <= 40
+        xs = np.linspace(-6.0, 6.0, 15001)
+        np.testing.assert_array_equal(A.values(xs), D.values(xs + 3.0))
 
 
 # closed forms of (f''', f'''')
