@@ -68,7 +68,9 @@ from .parser import parse_expr
 from .poisson import (
     HalfPlanePoint,
     boundary_convergence,
+    boundary_gaps,
     extension_n,
+    extension_result,
     harmonic_extension,
     harmonicity_residual,
     kernel_dx,

@@ -32,7 +32,7 @@ from .lpspace import (
     step_approximate,
 )
 from .parser import parse_expr
-from .poisson import HalfPlanePoint, boundary_convergence, extension_n
+from .poisson import HalfPlanePoint, boundary_gaps, extension_result
 from .quadrature import QuadConfig
 from .verify import run_suites
 
@@ -310,13 +310,14 @@ def _run(args, cfg):
         F = _expr_arg(args.F)
         pt = HalfPlanePoint(args.x, args.y)
         f = NthDistribution(F, 2.0, args.n) if args.n >= 1 else F
-        rows.append((f"u({args.x:g},{args.y:g})", extension_n(f, pt, cfg), 0.0))
+        u = extension_result(f, pt, cfg)
+        rows.append((f"u({args.x:g},{args.y:g})", u.value, u.err_est))
     elif cmd == "poisson-converge":
         f = PrimitiveDistribution(_expr_arg(args.F), args.p, cfg=cfg)
         ys = _floats(args.ys)
-        norms, contraction = boundary_convergence(f, ys, cfg)
-        for y, v in zip(ys, norms):
-            rows.append((_fmt(y), v, 0.0))
+        norms, errors, contraction = boundary_gaps(f, ys, cfg)
+        for y, v, e in zip(ys, norms, errors):
+            rows.append((_fmt(y), v, e))
         checks.append(("poisson-contraction", contraction, 1e-6))
     elif cmd == "membership":
         alpha = args.alpha if args.alpha is not None else 1.0 / args.p + 0.5

@@ -868,8 +868,9 @@ class FunctionExpr:
     def affine(self, a, b):
         """The function t -> self(a*t + b), a != 0.  Each singular point,
         kink and support end p moves to (p - b)/a, as the tree's indicator
-        endpoints do, and so does each recorded decay centre; the decay
-        class is unchanged."""
+        endpoints do, and so does each decay centre: the recorded ones and
+        the centre 0 that a gaussian or exponential tag leaves implicit,
+        which is recorded as -b/a.  The decay class is unchanged."""
         a, b = float(a), float(b)
         if a == 0.0:
             raise LprimError("affine map needs a != 0")
@@ -879,8 +880,9 @@ class FunctionExpr:
         def move(points):
             return tuple(sorted((p - b) / a for p in points))
 
-        centres = decay_centres(self.decay)
-        decay = _fast_decay(self.decay[0], move(centres)) if centres else self.decay
+        decay = self.decay
+        if decay[0] in _FAST:
+            decay = _fast_decay(decay[0], move((0.0,) + decay_centres(decay)))
         return replace(self, root=self.root.subst_affine(a, b),
                        singularities=move(self.singularities), kinks=move(self.kinks),
                        support=None if self.support is None else move(self.support),

@@ -176,8 +176,8 @@ def norm_comparison_example(m, cfg=None):
     edges = np.linspace(0.0, 2.0 * math.pi, n_panels + 1)
     from .quadrature import _gk_eval
 
-    vals, _ = _gk_eval(lambda owner, ys: Fm.values(ys), np.zeros(n_panels, dtype=int),
-                       edges[:-1], edges[1:])
+    vals = _gk_eval(lambda owner, ys: Fm.values(ys), np.zeros(n_panels, dtype=int),
+                    edges[:-1], edges[1:])[0]
     cum = np.concatenate([[0.0], np.cumsum(vals)])
     i = int(np.argmax(np.abs(cum)))
     lo = edges[max(i - 1, 0)]

@@ -4,6 +4,29 @@ The boundary datum is an L^p function F (or the distribution f = D^n F);
 the extension is the convolution with the Poisson kernel
 Phi_y(x) = (y/pi)/(x^2+y^2), harmonic in y > 0, contracting in L^p norm,
 and converging back to the boundary datum as y -> 0+.
+
+Every extension is one integral over a finite interval.  Since
+Phi_y(s) = (1/pi) Im 1/(s - iy), its n-th derivative is
+
+    Phi_y^(n)(s) = ((-1)^n n!/pi) Im (s - iy)^-(n+1),
+
+and u = Phi_y^(n) * F at x is the integral of Phi_y^(n)(x - t) F(t) dt.
+Put t = x - y tan(theta), theta in (-pi/2, pi/2): then
+dt = -y sec^2(theta) d(theta) and s - iy = y (tan(theta) - i)
+= -i y e^(i theta)/cos(theta), so
+
+    (s - iy)^-(n+1) = cos^(n+1)(theta) y^-(n+1) e^(i (n+1)(pi/2 - theta)),
+
+and, the sign of dt undone by the reversed ends,
+
+    u(x) = integral over (-pi/2, pi/2) of w_n(theta) F(x - y tan(theta)) d(theta),
+    w_n(theta) = ((-1)^n n!/(pi y^n)) cos^(n-1)(theta) sin((n+1)(pi/2 - theta)),
+
+with w_0 = 1/pi.  The weight is bounded, the interval finite, and F's
+support [a, b] shrinks it to [arctan((x - b)/y), arctan((x - a)/y)], so
+the line, its tail shells and the kernel's derivative tree drop out
+(quadrature.angle_integral).  The kernel itself stays for kernel_dx and
+the kernel-mass checks.
 """
 
 from __future__ import annotations
@@ -11,9 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import ExponentError, IntegrabilityError, LprimError
-from .expr import FunctionExpr, Var, add, const, mul, pow_
-from .quadrature import DEFAULT_CONFIG, ConvolutionValues, effective_radius, lp_norm
+import numpy as np
+
+from .errors import ConvergenceError, ExponentError, IntegrabilityError, LprimError
+from .expr import FunctionExpr, Var, add, const, decay_mul, growth, mul, pow_
+from .quadrature import (DEFAULT_CONFIG, FamilyValues, QuadResult, angle_integral,
+                         effective_radius, lp_norm)
 from .sampling import sample_function, sampled_expr
 
 
@@ -55,9 +81,51 @@ def _kernel_n(y, n):
     return kern
 
 
+def _weight(n):
+    """w_n(theta, y): the n-th x-derivative of Phi_y * F is the integral of
+    w_n(theta, y) F(x - y tan(theta)) over (-pi/2, pi/2)."""
+    if n == 0:
+        return lambda th, y: 1.0 / math.pi
+    # sin((n+1)(pi/2 - theta)) is +-cos((n+1) theta) for even n and
+    # +-sin((n+1) theta) for odd n: no rounded pi/2 inside the sine
+    c = (-1) ** n * math.factorial(n) / math.pi
+    if n % 2 == 0:
+        c, trig = c * (-1) ** (n // 2), np.cos
+    else:
+        c, trig = -c * (-1) ** ((n + 1) // 2), np.sin
+    return lambda th, y: (c / y ** n) * np.cos(th) ** (n - 1) * trig((n + 1) * th)
+
+
 def _extension_values(F, y, n, cfg):
-    """xs -> (d^n/dx^n) (Phi_y * F)(xs), one integral family per call."""
-    return ConvolutionValues(_kernel_n(y, n), F, cfg, "poisson")
+    """xs -> (d^n/dx^n) (Phi_y * F)(xs), one angle integral family per call;
+    y is a number or an array of one y per x.
+
+    Refuses data whose convolution with the power-2 kernel does not
+    converge absolutely, as the line integral would."""
+    d = decay_mul(("power", 2.0), F.decay, 0.0, growth(F.root))
+    if d[0] == "none":
+        raise ConvergenceError("poisson: boundary datum grows too fast for the kernel")
+    if d[0] == "power" and d[1] <= 1.0:
+        raise IntegrabilityError(f"poisson: power decay beta={d[1]} <= 1: integral diverges")
+    w = _weight(n)
+    return FamilyValues(lambda xs: angle_integral(F, w, xs, y, cfg), "poisson")
+
+
+def _order(f):
+    """(F, n) for f = D^n F, or for F itself."""
+    n = int(getattr(f, "order", 0))
+    if not 0 <= n <= 4:
+        raise ExponentError("extension_n supports orders up to 4")
+    return (f.F if hasattr(f, "F") else f), n
+
+
+def extension_result(f, pt, cfg=None):
+    """u_y(x) for f = D^n F (or for F itself) as a QuadResult: the value
+    with its error estimate; an unconverged integral raises."""
+    F, n = _order(f)
+    U = _extension_values(F, pt.y, n, cfg or DEFAULT_CONFIG)
+    value = U.at(pt.x)
+    return QuadResult(value, U.max_err, True)
 
 
 def harmonic_extension(F, pt, cfg=None):
@@ -68,12 +136,7 @@ def harmonic_extension(F, pt, cfg=None):
 
 def extension_n(f, pt, cfg=None):
     """u_y(x) = (Phi_y * f)(x) = d^n U_y / dx^n for f = D^n F."""
-    cfg = cfg or DEFAULT_CONFIG
-    n = int(getattr(f, "order", 0))
-    F = f.F if hasattr(f, "F") else f
-    if not 0 <= n <= 4:
-        raise ExponentError("extension_n supports orders up to 4")
-    return _extension_values(F, pt.y, n, cfg).at(pt.x)
+    return extension_result(f, pt, cfg).value
 
 
 def harmonicity_residual(f, pt, h, cfg=None):
@@ -83,17 +146,12 @@ def harmonicity_residual(f, pt, h, cfg=None):
     h = float(h)
     if not pt.y > 2 * h:
         raise LprimError("stencil needs y > 2h")
-    n = int(getattr(f, "order", 0))
-    F = f.F if hasattr(f, "F") else f
-
-    def u(x, y):
-        return _extension_values(F, y, n, cfg).at(x)
-
+    F, n = _order(f)
     x, y = pt.x, pt.y
-    lap = (
-        u(x + h, y) + u(x - h, y) + u(x, y + h) + u(x, y - h) - 4.0 * u(x, y)
-    ) / (h * h)
-    return lap
+    # the five stencil points as one family
+    ys = np.array([y, y, y + h, y - h, y])
+    u = _extension_values(F, ys, n, cfg)(np.array([x + h, x - h, x, x, x]))
+    return (u[0] + u[1] + u[2] + u[3] - 4.0 * u[4]) / (h * h)
 
 
 def _tail_decay(F):
@@ -108,10 +166,9 @@ def _tail_decay(F):
     )
 
 
-def extension_expr(F, y, n=0, cfg=None, spline_tol=1e-7):
-    """U_y (or its n-th x-derivative) as a FunctionExpr: a sampled spline
-    at kernel-scale spacing <= y/4 near the data, direct quadrature in the
-    tails, with the kernel's power-2 decay recorded."""
+def _extension_expr(F, y, n, cfg, spline_tol):
+    """extension_expr and its error estimate: the spline's error plus the
+    largest error estimate of the integrals it was sampled from."""
     cfg = cfg or DEFAULT_CONFIG
     y = float(y)
     if y <= 0:
@@ -121,15 +178,23 @@ def extension_expr(F, y, n=0, cfg=None, spline_tol=1e-7):
     spline, err = sample_function(
         U, -R, R, tol=spline_tol, min_spacing=y / 4.0, max_points=65536
     )
-    return sampled_expr(spline, -R, R, name=f"poisson_U[y={y:g}]", outside=U,
-                        decay=_tail_decay(F))
+    return (sampled_expr(spline, -R, R, name=f"poisson_U[y={y:g}]", outside=U,
+                         decay=_tail_decay(F)), err + U.max_err)
 
 
-def boundary_convergence(f, y_grid, cfg=None):
+def extension_expr(F, y, n=0, cfg=None, spline_tol=1e-7):
+    """U_y (or its n-th x-derivative) as a FunctionExpr: a sampled spline
+    at kernel-scale spacing <= y/4 near the data, direct quadrature in the
+    tails, with the kernel's power-2 decay recorded."""
+    return _extension_expr(F, y, n, cfg, spline_tol)[0]
+
+
+def boundary_gaps(f, y_grid, cfg=None):
     """For each y (descending) the boundary gap ||u_y - f||^(n)_p, which
-    equals ||U_y - F||_p; also checks the contraction ||u_y|| <= ||f||.
+    equals ||U_y - F||_p, with the error estimate of the sampled U_y behind
+    it; also checks the contraction ||u_y|| <= ||f||.
 
-    Returns (norms, contraction_ok).
+    Returns (norms, errors, contraction_ok).
     """
     ys = [float(y) for y in y_grid]
     if any(y <= 0 for y in ys):
@@ -145,11 +210,18 @@ def boundary_convergence(f, y_grid, cfg=None):
     fnorm = getattr(f, "norm", None)
     if fnorm is None:
         fnorm = lp_norm(F, p, base)
-    norms = []
+    norms, errors = [], []
     contraction_ok = True
     for y in ys:
-        U = extension_expr(F, y, 0, base)
+        U, err = _extension_expr(F, y, 0, base, 1e-7)
         norms.append(lp_norm(U - F, p, outer))
+        errors.append(err)
         if lp_norm(U, p, outer) > fnorm + 1e-6:
             contraction_ok = False
+    return norms, errors, contraction_ok
+
+
+def boundary_convergence(f, y_grid, cfg=None):
+    """boundary_gaps without the error estimates: (norms, contraction_ok)."""
+    norms, _, contraction_ok = boundary_gaps(f, y_grid, cfg)
     return norms, contraction_ok

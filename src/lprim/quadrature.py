@@ -188,9 +188,13 @@ class _Family:
 _CENTRE_STEPS = (0.0,) + tuple(s * 2.0 ** k for k in range(-4, 7) for s in (1.0, -1.0))
 
 
-def _centre_cuts(f):
-    """Split points around each decay centre of ``f``."""
-    return tuple(c + s for c in decay_centres(f.decay) for s in _CENTRE_STEPS)
+def _centre_cuts(f, centred=False):
+    """Split points around each decay centre of ``f``; ``centred`` adds
+    the centre 0 that a gaussian or exponential tag leaves implicit."""
+    centres = decay_centres(f.decay)
+    if centred and f.decay[0] in ("gaussian", "exponential"):
+        centres = (0.0,) + centres
+    return tuple(c + s for c in centres for s in _CENTRE_STEPS)
 
 
 def _single(f, extra_splits=(), line=False):
@@ -225,12 +229,19 @@ def _in_chunks(fn, per_row, *rows):
 # Gauss-Kronrod panel pool
 
 
-def _gk_eval(fn, owner, lo, hi):
-    """Kronrod estimate and |Kronrod - Gauss| per panel [lo, hi]."""
-    return _in_chunks(lambda o, l, h: _gk_panels(fn, o, l, h), XGK.size, owner, lo, hi)
+def _gk_eval(fn, owner, lo, hi, rounding=False):
+    """Kronrod estimate, |Kronrod - Gauss| and a rounding floor per panel
+    [lo, hi].  With ``rounding`` the floor is 8 eps times the Kronrod sum
+    of |fn| (QUADPACK takes 50 eps), the rounding error a few ulps in each
+    sample leave in the sum, and the error is at least the floor; else 0."""
+    return _in_chunks(lambda o, l, h: _gk_panels(fn, o, l, h, rounding), XGK.size,
+                      owner, lo, hi)
 
 
-def _gk_panels(fn, owner, lo, hi):
+_ROUNDING = 8.0 * np.finfo(float).eps
+
+
+def _gk_panels(fn, owner, lo, hi, rounding):
     h = 0.5 * (hi - lo)
     ys = (0.5 * (lo + hi))[:, None] + h[:, None] * XGK
     vals = np.asarray(fn(np.repeat(owner, XGK.size), ys.ravel()), dtype=float).reshape(ys.shape)
@@ -240,17 +251,21 @@ def _gk_panels(fn, owner, lo, hi):
         vals[bad] = 0.0
     k = (vals @ WGK) * h
     err = np.abs(k - (vals @ WG) * h)
+    floor = np.zeros_like(err)
+    if rounding:
+        floor = _ROUNDING * (np.abs(vals) @ WGK) * h
+        err = np.maximum(err, floor)
     if poisoned:
         # a non-finite sample poisons its panel: force refinement there
         err[bad.any(axis=1)] = np.inf
-    return k, err
+    return k, err, floor
 
 
 # panel pool columns
-_LO, _HI, _K, _ERR, _SHARE, _DEPTH = range(6)
+_LO, _HI, _K, _ERR, _SHARE, _DEPTH, _FLOOR = range(7)
 
 
-def _adaptive_gk(fn, owner, a, b, cfg):
+def _adaptive_gk(fn, owner, a, b, cfg, group=None):
     """Globally adaptive GK on the intervals [a[j], b[j]], one panel pool.
 
     Interval j integrates fn(owner[j], .) and keeps its own stopping rule:
@@ -258,6 +273,13 @@ def _adaptive_gk(fn, owner, a, b, cfg):
     total|), when no panel exceeds that tolerance's share for its width,
     or when refining would pass _MAX_PANELS panels; no panel goes deeper
     than max_depth.  Done intervals leave the pool.
+
+    With ``group``, interval j is a piece of integral group[j]: its
+    relative tolerance is taken of the smaller of its own total and the
+    integral's, so that pieces which cancel still meet the integral's
+    tolerance, and the pieces of one integral leave the pool together.
+    Its panels' errors take the rounding floor (see _gk_eval), and a panel
+    whose error is only that floor is not split: refining cannot lower it.
     """
     n = a.size
     width = b - a
@@ -276,21 +298,32 @@ def _adaptive_gk(fn, owner, a, b, cfg):
         lo = a[seg] + i * step
         hi = np.where(i + 1 == count, b[seg], lo + step)
         share = 1.0 / count
-    pool = np.empty((seg.size, 6))
+    rounding = group is not None
+    pool = np.empty((seg.size, 7))
     pool[:, _LO], pool[:, _HI], pool[:, _SHARE], pool[:, _DEPTH] = lo, hi, share, 0.0
-    pool[:, _K], pool[:, _ERR] = _gk_eval(fn, owner[seg], lo, hi)
+    pool[:, _K], pool[:, _ERR], pool[:, _FLOOR] = _gk_eval(fn, owner[seg], lo, hi, rounding)
     panels = np.bincount(seg, minlength=n)
+
+    def scale(total):
+        if group is None:
+            return np.abs(total)
+        return np.minimum(np.abs(total), np.abs(np.bincount(group, total, n))[group])
 
     for rnd in range(cfg.max_depth + 1):
         total = np.bincount(seg, pool[:, _K], n)
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * scale(value + total))
         done = np.bincount(seg, pool[:, _ERR], n) <= tol
         last = rnd == cfg.max_depth or done.all()
         if not last:
             need = ((pool[:, _ERR] > tol[seg] * pool[:, _SHARE])
-                    & (pool[:, _DEPTH] < cfg.max_depth))
+                    & (pool[:, _ERR] > pool[:, _FLOOR]) & (pool[:, _DEPTH] < cfg.max_depth))
             n_need = np.bincount(seg[need], minlength=n)
             done |= (n_need == 0) | (panels + n_need > _MAX_PANELS)
+            if group is not None:
+                # a done piece waits, unrefined, for the rest of its integral
+                need &= ~done[seg]
+                n_need = np.bincount(seg[need], minlength=n)
+                done = (np.bincount(group, ~done, n) == 0)[group]
             last = done.all()
         if last or done.any():
             # done intervals leave the pool; a non-finite panel error counts 1
@@ -312,13 +345,14 @@ def _adaptive_gk(fn, owner, a, b, cfg):
         half[:, _SHARE] *= 0.5
         half[:, _DEPTH] += 1.0
         new_seg = np.tile(seg[need], 2)
-        half[:, _K], half[:, _ERR] = _gk_eval(fn, owner[new_seg], half[:, _LO], half[:, _HI])
+        half[:, _K], half[:, _ERR], half[:, _FLOOR] = _gk_eval(
+            fn, owner[new_seg], half[:, _LO], half[:, _HI], rounding)
         panels += n_need
         keep = ~need
         seg = np.concatenate([seg[keep], new_seg])
         pool = np.concatenate([pool[keep], half])
 
-    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * scale(value))
     return FamilyResult(value, err_total, err_total <= tol)
 
 
@@ -437,10 +471,13 @@ def _tanh_sinh(fn, owner, a, b, cfg):
 # finite intervals and the line, per family
 
 
-def _integrate(fam, owner, a, b, cfg):
+def _integrate(fam, owner, a, b, cfg, group=None):
     """Integral of owner[j]'s integrand over [a[j], b[j]], a <= b, split at
     its singular points and split points; the pieces next to a singular
-    point take the tanh-sinh rule, all others share one GK pool."""
+    point take the tanh-sinh rule, all others share one GK pool.
+    ``group``, one label per interval, holds the GK pieces of the
+    intervals with one label to their tolerance together (see
+    _adaptive_gk)."""
     cuts = fam.cuts[owner]
     inside = (cuts > a[:, None]) & (cuts < b[:, None])
     piece = None  # the interval of each piece, when some interval is split
@@ -453,15 +490,18 @@ def _integrate(fam, owner, a, b, cfg):
         piece = np.nonzero(real)[0]
         lo, hi = lo[real], hi[real]
         owner = owner[piece]
+        if group is not None:
+            group = group[piece]
     if fam.sing.shape[1] == 0:
-        res = _adaptive_gk(fam.fn, owner, lo, hi, cfg)
+        res = _adaptive_gk(fam.fn, owner, lo, hi, cfg, group)
     else:
         sing = fam.sing[owner]
         singular = ((lo[:, None] == sing) | (hi[:, None] == sing)).any(axis=1)
         value = np.zeros(lo.size)
         err = np.zeros(lo.size)
         conv = np.ones(lo.size, dtype=bool)
-        for mask, rule in ((~singular, _adaptive_gk), (singular, _tanh_sinh)):
+        gk = functools.partial(_adaptive_gk, group=None if group is None else group[~singular])
+        for mask, rule in ((~singular, gk), (singular, _tanh_sinh)):
             if mask.any():
                 r = rule(fam.fn, owner[mask], lo[mask], hi[mask], cfg)
                 value[mask], err[mask], conv[mask] = r.value, r.err_est, r.converged
@@ -665,23 +705,85 @@ def convolve(K, g, xs, cfg=None):
     return _integrate_line(fam, cfg)
 
 
-class ConvolutionValues:
-    """x -> (K * g)(x) on arrays of x, one integral family per call.
+def angle_integral(F, weight, xs, ys, cfg=None):
+    """Integral of weight(theta, y) F(x - y tan(theta)) d(theta) over
+    (-pi/2, pi/2) for every pair of ``xs`` and ``ys``, as one integral family.
+
+    The map t = x - y tan(theta) takes the line onto a finite interval, so
+    no tails are needed.  A point c of the line lands at
+    theta = arctan((x - c)/y): F's support [a, b] becomes the interval
+    [arctan((x - b)/y), arctan((x - a)/y)], and its kinks and, without a
+    support, the cuts c + _CENTRE_STEPS around each decay centre (0 among
+    them for a gaussian or exponential tag) become split points.  The GK
+    pieces of one integral meet its tolerance together (see _adaptive_gk).
+
+    A singular point c of F cannot be approached closely in theta, whose
+    rounding near arctan((x - c)/y) is y sec^2 times coarser in t, so its
+    neighbourhood |t - c| < h, h = min(y, 1, a quarter of the distance to
+    F's next feature point), is integrated in t by the tanh-sinh rule, with
+    the kernel weight(theta, y) y/(y^2 + (x - t)^2) that d(theta) turns into.
+    ``weight`` takes arrays of theta and of each one's y.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    xs, ys = (a.ravel() for a in np.broadcast_arrays(np.asarray(xs, dtype=float),
+                                                      np.asarray(ys, dtype=float)))
+    n = xs.size
+    every = np.arange(n)
+    sa, sb = F.support if F.support is not None else (-math.inf, math.inf)
+    cuts = tuple(F.kinks) + (() if F.support is not None else _centre_cuts(F, centred=True))
+
+    def fn(owner, th):
+        y = ys[owner]
+        return weight(th, y) * F.values(xs[owner] - y * np.tan(th))
+
+    fam = _Family(fn, np.zeros((n, 0)), np.arctan(_shifted(cuts, xs) / ys[:, None]),
+                  None, None, F.decay)
+    # the line less the neighbourhoods of the singular points: intervals
+    # [lo_t, hi_t] in t, one row per owner
+    sing = np.array(sorted(F.singularities), dtype=float)
+    h = np.zeros((n, sing.size))
+    if sing.size:
+        feats = F.feature_points()
+        gap = np.array([min([abs(c - p) for p in feats if p != c], default=math.inf)
+                        for c in sing])
+        h = np.minimum(ys[:, None], np.minimum(1.0, 0.25 * gap))
+    lo_t = np.clip(np.concatenate([np.full((n, 1), sa), sing + h], axis=1), sa, sb)
+    hi_t = np.clip(np.concatenate([sing - h, np.full((n, 1), sb)], axis=1), lo_t, sb)
+    owner = np.repeat(every, sing.size + 1)
+    x, y = xs[owner], ys[owner]
+    res = _integrate(fam, owner, np.arctan((x - hi_t.ravel()) / y),
+                     np.arctan((x - lo_t.ravel()) / y), cfg, group=owner).owners(owner, n)
+    if not sing.size:
+        return res
+
+    def near(owner, ts):
+        s, y = xs[owner] - ts, ys[owner]
+        return weight(np.arctan(s / y), y) * (y / (y * y + s * s)) * F.values(ts)
+
+    owner = np.repeat(every, 2 * sing.size)
+    c = np.tile(np.repeat(sing, 2), n)
+    side = np.tile([-1.0, 1.0], n * sing.size)
+    end = np.clip(c + side * np.repeat(h.ravel(), 2), sa, sb)
+    lo, hi = np.clip(np.minimum(c, end), sa, sb), np.clip(np.maximum(c, end), sa, sb)
+    return res + _tanh_sinh(near, owner, lo, hi, cfg).owners(owner, n)
+
+
+class FamilyValues:
+    """x -> one integral per x, on arrays of x, one integral family per call:
+    ``integrals(xs)`` returns their FamilyResult.
 
     A point whose integral did not converge raises ConvergenceError naming
     ``layer`` and the point; ``max_err`` is the largest err_est seen.
     """
 
-    def __init__(self, K, g, cfg, layer):
-        self.K = K
-        self.g = g
-        self.cfg = cfg
+    def __init__(self, integrals, layer):
+        self.integrals = integrals
         self.layer = layer
         self.max_err = 0.0
 
     def __call__(self, xs):
         xs = np.asarray(xs, dtype=float)
-        res = convolve(self.K, self.g, xs, self.cfg)
+        res = self.integrals(xs)
         if not res.converged.all():
             i = int(np.argmin(res.converged))
             raise ConvergenceError(
@@ -695,6 +797,13 @@ class ConvolutionValues:
     def at(self, x):
         """The value at one point."""
         return float(self(np.array([float(x)]))[0])
+
+
+class ConvolutionValues(FamilyValues):
+    """x -> (K * g)(x), one ``convolve`` family per call."""
+
+    def __init__(self, K, g, cfg, layer):
+        super().__init__(lambda xs: convolve(K, g, xs, cfg), layer)
 
 
 # ---------------------------------------------------------------------------

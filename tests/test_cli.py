@@ -157,6 +157,21 @@ class TestSubcommands:
         expected = 2 * math.atan(0.5) / math.pi
         assert rows(report)["u(0.5,1)"] == pytest.approx(expected, abs=1e-9)
 
+    def test_poisson_err_est_is_the_integral_error(self):
+        report, code = run("poisson", "--F", "exp(-x^2)", "--x", "0.3", "--y", "0.5",
+                           "--n", "1")
+        assert code == 0
+        [(label, value, err)] = report.outputs
+        assert label == "u(0.3,0.5)"
+        assert 0.0 < err <= 1e-8
+
+    def test_poisson_converge_err_est_is_the_sampling_error(self):
+        report, code = run("poisson-converge", "--F", "indicator(0,1)", "--p", "1",
+                           "--ys", "1,0.3")
+        assert code == 0
+        errs = [err for _, _, err in report.outputs]
+        assert len(errs) == 2 and all(0.0 < e <= 2e-7 for e in errs)
+
     def test_membership(self):
         report, code = run("membership", "--p", "2", "--f", "x*indicator(-1,1)")
         assert code == 0

@@ -10,6 +10,7 @@ from lprim.corpus import corpus, tent
 from lprim.errors import JetError, LprimError
 from lprim.expr import FunctionExpr, Wrapped, maximum, minimum
 from lprim.parser import parse_expr
+from lprim.quadrature import integrate_line
 from lprim.parser import parse_expr as P
 
 
@@ -317,11 +318,11 @@ METADATA_TABLE = [
     ('translate:box+2', lambda: P('indicator(0,1)').affine(1.0, -2.0),
      (), (2.0, 3.0), (2.0, 3.0), ('compact',)),
     ('translate:gauss-1.5', lambda: P('exp(-x^2)').affine(1.0, 1.5),
-     (), (), None, ('gaussian',)),
+     (), (), None, ('gaussian', (-1.5,))),
     ('translate:rational+1.88', lambda: P('(x^2+1)^(-1)').affine(1.0, -1.88),
      (), (), None, ('power', 2.0)),
     ('translate:logcusp+0.3', lambda: P('sing(log(abs(x)), 0)*exp(-abs(x))').affine(1.0, -0.3),
-     (0.3,), (), None, ('exponential',)),
+     (0.3,), (), None, ('exponential', (0.3,))),
     ('translate:tent-0.7', lambda: C('tent').affine(1.0, 0.7),
      (), (-0.7, 0.30000000000000004, 1.3), (-0.7, 1.3), ('compact',)),
     ('dilate:box*0.5', lambda: P('indicator(0,1)').affine(2.0, 0.0) * 2.0,
@@ -333,7 +334,7 @@ METADATA_TABLE = [
     ('reflect:box@0.5', lambda: P('indicator(0,1)').affine(-1.0, 0.5),
      (), (-0.5, 0.5), (-0.5, 0.5), ('compact',)),
     ('reflect:cusp@0.5', lambda: P('sing(abs(x)^(-0.5), 0)*exp(-abs(x))').affine(-1.0, 0.5),
-     (0.5,), (), None, ('exponential',)),
+     (0.5,), (), None, ('exponential', (0.5,))),
     ('reflect:tent@-1.25', lambda: C('tent').affine(-1.0, -1.25),
      (), (-3.25, -2.25, -1.25), (-3.25, -1.25), ('compact',)),
     ('reflect:powertail@2', lambda: P('x*(abs(x)+1)^(-2.5)').affine(-1.0, 2.0),
@@ -359,7 +360,7 @@ METADATA_TABLE = [
     ('parse:exp(-(x-1)^2)+exp(-abs(x))', lambda: P('exp(-(x-1)^2)+exp(-abs(x))'),
      (), (0.0,), None, ('exponential', (1.0,))),
     ('translate:shifted gauss+49', lambda: P('exp(-(x-1)^2)').affine(1.0, -49.0),
-     (), (), None, ('gaussian', (50.0,))),
+     (), (), None, ('gaussian', (49.0, 50.0))),
     ('dilate:shifted gauss*0.5', lambda: P('exp(-(x-1)^2)').affine(2.0, 0.0),
      (), (), None, ('gaussian', (0.5,))),
     # a positive constant factor or divisor of the exponent keeps its class
@@ -432,6 +433,15 @@ class TestAffine:
         assert F.affine(1.0, 0.0) is F
         with pytest.raises(LprimError):
             F.affine(0.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(1.0, -50.0), (1.0, 50.0), (-2.0, 30.0)])
+    def test_translated_gaussian_keeps_its_mass(self, a, b):
+        # the implicit centre 0 moves to -b/a, where the bump now is
+        G = P("exp(-x^2)").affine(a, b)
+        assert G.decay == ("gaussian", (-b / a,))
+        res = integrate_line(G)
+        assert res.converged
+        assert res.value == pytest.approx(math.sqrt(math.pi) / abs(a), rel=1e-10)
 
     def test_keeps_the_sharing_of_a_derivative(self):
         # each distinct node is copied once: the copy of the 28-node DAG
