@@ -10,7 +10,9 @@ whose tails are certified through the integrand's decay class.
 One engine serves every integral: a family of integrals (a convolution
 sampled at many x, say) shares one panel pool, each integral keeping its
 own split points and stopping rule, and a single integral is the family
-with one owner.
+with one owner.  Convolutions of F with the Poisson kernel and its
+x-derivatives map the line onto a finite angle interval first
+(``angle_integral``), so they need no tails.
 
 Fourier integrals, the integral of f(x) e^{-isx} dx at many s, take a
 Filon-Legendre rule instead (``fourier_integral``): f is sampled once on
@@ -230,10 +232,11 @@ def _in_chunks(fn, per_row, *rows):
 
 
 def _gk_eval(fn, owner, lo, hi, rounding=False):
-    """Kronrod estimate, |Kronrod - Gauss| and a rounding floor per panel
-    [lo, hi].  With ``rounding`` the floor is 8 eps times the Kronrod sum
-    of |fn| (QUADPACK takes 50 eps), the rounding error a few ulps in each
-    sample leave in the sum, and the error is at least the floor; else 0."""
+    """Kronrod estimate and |Kronrod - Gauss| per panel [lo, hi].  With
+    ``rounding`` the error is at least a rounding floor, 8 eps times the
+    Kronrod sum of |fn| (QUADPACK takes 50 eps): the error a few ulps in
+    each sample leave in the sum.  A third array then marks the panels
+    whose error is that floor."""
     return _in_chunks(lambda o, l, h: _gk_panels(fn, o, l, h, rounding), XGK.size,
                       owner, lo, hi)
 
@@ -251,18 +254,18 @@ def _gk_panels(fn, owner, lo, hi, rounding):
         vals[bad] = 0.0
     k = (vals @ WGK) * h
     err = np.abs(k - (vals @ WG) * h)
-    floor = np.zeros_like(err)
+    out = (k, err)
     if rounding:
         floor = _ROUNDING * (np.abs(vals) @ WGK) * h
-        err = np.maximum(err, floor)
+        out = (k, np.maximum(err, floor), err <= floor)
     if poisoned:
         # a non-finite sample poisons its panel: force refinement there
-        err[bad.any(axis=1)] = np.inf
-    return k, err, floor
+        out[1][bad.any(axis=1)] = np.inf
+    return out
 
 
 # panel pool columns
-_LO, _HI, _K, _ERR, _SHARE, _DEPTH, _FLOOR = range(7)
+_LO, _HI, _K, _ERR, _SHARE, _DEPTH = range(6)
 
 
 def _adaptive_gk(fn, owner, a, b, cfg, group=None):
@@ -279,7 +282,7 @@ def _adaptive_gk(fn, owner, a, b, cfg, group=None):
     integral's, so that pieces which cancel still meet the integral's
     tolerance, and the pieces of one integral leave the pool together.
     Its panels' errors take the rounding floor (see _gk_eval), and a panel
-    whose error is only that floor is not split: refining cannot lower it.
+    whose error is that floor is not split.
     """
     n = a.size
     width = b - a
@@ -299,9 +302,18 @@ def _adaptive_gk(fn, owner, a, b, cfg, group=None):
         hi = np.where(i + 1 == count, b[seg], lo + step)
         share = 1.0 / count
     rounding = group is not None
-    pool = np.empty((seg.size, 7))
+
+    def evaluate(rows, segs):
+        rows[:, _K], rows[:, _ERR], *floored = _gk_eval(fn, owner[segs], rows[:, _LO],
+                                                        rows[:, _HI], rounding)
+        if floored:
+            # refining cannot lower an error at the rounding floor: such a
+            # panel counts as refined to the full depth
+            rows[floored[0], _DEPTH] = cfg.max_depth
+
+    pool = np.empty((seg.size, 6))
     pool[:, _LO], pool[:, _HI], pool[:, _SHARE], pool[:, _DEPTH] = lo, hi, share, 0.0
-    pool[:, _K], pool[:, _ERR], pool[:, _FLOOR] = _gk_eval(fn, owner[seg], lo, hi, rounding)
+    evaluate(pool, seg)
     panels = np.bincount(seg, minlength=n)
 
     def scale(total):
@@ -316,7 +328,7 @@ def _adaptive_gk(fn, owner, a, b, cfg, group=None):
         last = rnd == cfg.max_depth or done.all()
         if not last:
             need = ((pool[:, _ERR] > tol[seg] * pool[:, _SHARE])
-                    & (pool[:, _ERR] > pool[:, _FLOOR]) & (pool[:, _DEPTH] < cfg.max_depth))
+                    & (pool[:, _DEPTH] < cfg.max_depth))
             n_need = np.bincount(seg[need], minlength=n)
             done |= (n_need == 0) | (panels + n_need > _MAX_PANELS)
             if group is not None:
@@ -345,8 +357,7 @@ def _adaptive_gk(fn, owner, a, b, cfg, group=None):
         half[:, _SHARE] *= 0.5
         half[:, _DEPTH] += 1.0
         new_seg = np.tile(seg[need], 2)
-        half[:, _K], half[:, _ERR], half[:, _FLOOR] = _gk_eval(
-            fn, owner[new_seg], half[:, _LO], half[:, _HI], rounding)
+        evaluate(half, new_seg)
         panels += n_need
         keep = ~need
         seg = np.concatenate([seg[keep], new_seg])
