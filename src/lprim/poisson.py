@@ -166,7 +166,7 @@ def _tail_decay(F):
     )
 
 
-def _extension_expr(F, y, n, cfg, spline_tol):
+def _extension_expr(F, y, n=0, cfg=None, spline_tol=1e-7):
     """extension_expr and its error estimate: the spline's error plus the
     largest error estimate of the integrals it was sampled from."""
     cfg = cfg or DEFAULT_CONFIG
@@ -213,7 +213,7 @@ def boundary_gaps(f, y_grid, cfg=None):
     norms, errors = [], []
     contraction_ok = True
     for y in ys:
-        U, err = _extension_expr(F, y, 0, base, 1e-7)
+        U, err = _extension_expr(F, y, 0, base)
         norms.append(lp_norm(U - F, p, outer))
         errors.append(err)
         if lp_norm(U, p, outer) > fnorm + 1e-6:
