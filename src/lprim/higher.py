@@ -17,9 +17,9 @@ from scipy.optimize import minimize_scalar
 
 from .errors import ExponentError, LprimError
 from .expr import FunctionExpr, Wrapped
-from .lpspace import conjugate
+from .lpspace import Multiplier, conjugate
 from .parser import parse_expr
-from .quadrature import DEFAULT_CONFIG, integrate, integrate_line, lp_norm, sup_norm
+from .quadrature import DEFAULT_CONFIG, integrate, integrate_line, lp_norm
 
 
 @dataclass(frozen=True)
@@ -38,69 +38,31 @@ class NthDistribution:
             object.__setattr__(self, "norm", lp_norm(self.F, self.p))
 
 
-class IteratedMultiplier:
+class IteratedMultiplier(Multiplier):
     """g in L^q together with its iterated antiderivatives from 0.
 
     ``iterate(k)`` is the k-fold antiderivative G_k (G_0 = g); the order-n
     multiplier is G_n, whose n-th derivative recovers g and whose lower
-    iterates all vanish at 0.
+    iterates all vanish at 0.  The norm ||G||_{nI,q} = ||g||_q is
+    Multiplier's.
     """
+
+    __slots__ = ("order",)
 
     def __init__(self, g, q, order, cfg=None):
         if order < 1:
             raise ExponentError("order must be >= 1")
-        if not (1.0 < q <= math.inf):
-            raise ExponentError("q must lie in (1, inf]")
-        self.g = g
-        self.q = float(q)
         self.order = int(order)
         base = cfg or DEFAULT_CONFIG
         # quadrature error compounds across iterates; split the budget
-        self._cfg = replace(base, abs_tol=base.abs_tol / order)
-        self._norm = None
-
-    @property
-    def norm(self):
-        """||G||_{nI,q} = ||g||_q."""
-        if self._norm is None:
-            if self.q == math.inf:
-                self._norm = sup_norm(self.g, self._cfg)
-            else:
-                self._norm = lp_norm(self.g, self.q, self._cfg)
-        return self._norm
+        super().__init__(g, q, replace(base, abs_tol=base.abs_tol / order))
 
     def iterate(self, k):
         """The k-fold antiderivative of g vanishing (with all lower
-        iterates) at 0, as a pointwise evaluator."""
+        iterates) at 0, evaluated on arrays: one family per call."""
         if not 0 <= k <= self.order:
             raise ExponentError(f"iterate order {k} outside [0, {self.order}]")
-        if k == 0:
-            return lambda x: float(self.g.values(np.array([float(x)]))[0])
-        g = self.g
-        cfg = self._cfg
-        fact = math.gamma(k)
-
-        def Gk(x):
-            x = float(x)
-            if x == 0.0:
-                return 0.0
-            if k == 1:
-                kern = g
-            else:
-                weight = FunctionExpr.from_node(
-                    Wrapped(
-                        lambda ts, x=x: (x - np.asarray(ts)) ** (k - 1),
-                        name="cauchy_weight", growth_hint=float(k - 1),
-                    )
-                )
-                kern = g * weight
-            lo, hi = (0.0, x) if x > 0 else (x, 0.0)
-            val = integrate(kern, lo, hi, cfg).value
-            if x < 0:
-                val = -val
-            return val / fact
-
-        return Gk
+        return self.g.values if k == 0 else self._antiderivative(k)
 
 
 def pair_n(f, G, cfg=None):
@@ -147,10 +109,8 @@ def intermediate_identity_check(F, g, n, m, cfg=None):
     Fd = F
     for _ in range(n - m):
         Fd = Fd.diff()
-    Gm = mult.iterate(n - m)
     Gm_expr = FunctionExpr.from_node(
-        Wrapped(lambda xs: np.array([Gm(x) for x in np.asarray(xs, dtype=float)]),
-                name="iterate", growth_hint=float(n - m))
+        Wrapped(mult.iterate(n - m), name="iterate", growth_hint=float(n - m))
     )
     sign_m = -1.0 if m % 2 else 1.0
     prod = replace(Fd * Gm_expr, decay=Fd.decay)

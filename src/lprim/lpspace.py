@@ -11,7 +11,6 @@ which every operation here reduces to quadrature on.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -22,6 +21,8 @@ from .expr import Call, combine, const_expr, maximum, minimum
 from .parser import parse_expr
 from .quadrature import (
     DEFAULT_CONFIG,
+    FamilyValues,
+    antiderivative,
     effective_radius,
     integrate,
     integrate_line,
@@ -108,12 +109,12 @@ class PrimitiveDistribution:
 class Multiplier:
     """G in I^q, held by its density g = G'; G(x) = integral from 0 to x.
 
-    Antiderivative values are memoized at every point ever requested, so
-    repeated evaluations cost one short quadrature from the nearest
-    memoized breakpoint.
+    ``G_values`` evaluates G on an array of points as one antiderivative
+    family (quadrature.antiderivative) and raises ConvergenceError, naming
+    the point, when an integral does not converge.
     """
 
-    __slots__ = ("g", "q", "_norm", "_cfg", "_pts", "_vals")
+    __slots__ = ("g", "q", "_norm", "_cfg", "G_values")
 
     def __init__(self, g, q, cfg=None):
         q = float(q)
@@ -123,11 +124,12 @@ class Multiplier:
         self.q = q
         self._norm = None
         self._cfg = cfg or DEFAULT_CONFIG
-        self._pts = [0.0]
-        self._vals = [0.0]
-        for pt in g.feature_points():
-            if pt != 0.0 and math.isfinite(pt):
-                self.G(pt)
+        self.G_values = self._antiderivative(1)
+
+    def _antiderivative(self, k):
+        """x -> G_k(x) on arrays, one family per call."""
+        g, cfg = self.g, self._cfg
+        return FamilyValues(lambda xs: antiderivative(g, xs, k, cfg), f"lpspace G_{k}")
 
     @property
     def norm(self):
@@ -140,32 +142,8 @@ class Multiplier:
         return self._norm
 
     def G(self, x):
-        """Antiderivative value at x, memoized."""
-        x = float(x)
-        i = bisect.bisect_left(self._pts, x)
-        if i < len(self._pts) and self._pts[i] == x:
-            return self._vals[i]
-        # integrate from the nearest memoized point
-        cands = []
-        if i > 0:
-            cands.append(i - 1)
-        if i < len(self._pts):
-            cands.append(i)
-        j = min(cands, key=lambda k: abs(self._pts[k] - x))
-        base_x, base_v = self._pts[j], self._vals[j]
-        v = base_v + integrate(self.g, base_x, x, self._cfg).value
-        self._pts.insert(i, x)
-        self._vals.insert(i, v)
-        return v
-
-    def G_values(self, xs):
-        """Vectorized antiderivative: consecutive segment quadrature."""
-        xs = np.asarray(xs, dtype=float)
-        order = np.argsort(xs, kind="stable")
-        out = np.empty_like(xs)
-        for i in order:
-            out[i] = self.G(xs[i])
-        return out
+        """Antiderivative value at x."""
+        return self.G_values.at(x)
 
 
 def pair(f, G, cfg=None):
@@ -297,8 +275,11 @@ class DeltaTrain:
 
 
 def pair_delta_train(s, G):
-    """integral of sG = -sum a_n [G(y_n) - G(x_n)]."""
-    return -math.fsum(a * (G.G(y) - G.G(x)) for a, x, y in s.atoms)
+    """integral of sG = -sum a_n [G(y_n) - G(x_n)], with G at every
+    endpoint in one call."""
+    a, x, y = np.array(s.atoms, dtype=float).reshape(-1, 3).T
+    Gy, Gx = np.split(G.G_values(np.concatenate([y, x])), 2)
+    return -math.fsum(a * (Gy - Gx))
 
 
 @dataclass(frozen=True)

@@ -779,6 +779,26 @@ def angle_integral(F, weight, xs, ys, cfg=None):
     return res + _tanh_sinh(near, owner, lo, hi, cfg).owners(owner, n)
 
 
+def antiderivative(g, xs, k, cfg=None):
+    """G_k(x) = integral of g(t) (x - t)^(k-1)/(k-1)! dt from 0 to x for every
+    x in ``xs``, as one integral family: the k-fold antiderivative of g that
+    vanishes at 0 with its lower iterates (Cauchy's formula).  Owner i
+    integrates over [min(0, x_i), max(0, x_i)] and is negated for x_i < 0;
+    every owner splits at g's singular points, kinks and centre cuts."""
+    cfg = cfg or DEFAULT_CONFIG
+    xs = np.asarray(xs, dtype=float).ravel()
+    n = xs.size
+    one = _single(g)
+    scale = 1.0 / math.factorial(k - 1)
+
+    def fn(owner, ts):
+        return one.fn(owner, ts) * ((xs[owner] - ts) ** (k - 1) * scale)
+
+    fam = _Family(fn, _fixed(one.sing[0], n), _fixed(one.cuts[0], n), None, None, g.decay)
+    res = _integrate(fam, np.arange(n), np.minimum(xs, 0.0), np.maximum(xs, 0.0), cfg)
+    return FamilyResult(np.where(xs < 0, -res.value, res.value), res.err_est, res.converged)
+
+
 class FamilyValues:
     """x -> one integral per x, on arrays of x, one integral family per call:
     ``integrals(xs)`` returns their FamilyResult.

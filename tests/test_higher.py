@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lprim.errors import ExponentError
@@ -30,6 +31,17 @@ class TestIteratedMultiplier:
         G2 = mult.iterate(2)
         assert G2(2.0) == pytest.approx(1.5, abs=1e-9)
         assert G2(0.5) == pytest.approx(0.125, abs=1e-9)
+        # g vanishes on (-1, 0)
+        assert G2(-1.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_iterates_of_two_sided_exponential(self):
+        # g = e^{-|x|}: closed forms of G_1, G_2, G_3 on both sides of 0
+        mult = IteratedMultiplier(parse_expr("exp(-abs(x))"), 2.0, 3)
+        xs = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
+        a, s, e = np.abs(xs), np.sign(xs), np.exp(-np.abs(xs))
+        closed = {1: s * (1.0 - e), 2: a - 1.0 + e, 3: s * (0.5 * xs**2 - a + 1.0 - e)}
+        for k, want in closed.items():
+            np.testing.assert_allclose(mult.iterate(k)(xs), want, rtol=0.0, atol=1e-12)
 
 
 class TestPairN:

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.special import erf
 
+from lprim import quadrature
 from lprim.corpus import corpus_members, sobolev_gn
-from lprim.errors import ExponentError, LprimError
+from lprim.errors import ConvergenceError, ExponentError, LprimError
 from lprim.lpspace import (
     DeltaTrain,
     Multiplier,
@@ -23,7 +26,7 @@ from lprim.lpspace import (
     weak_vanishing_bound,
 )
 from lprim.parser import parse_expr
-from lprim.quadrature import lp_norm
+from lprim.quadrature import integrate, lp_norm
 
 
 def dist(src, p, **kw):
@@ -186,6 +189,42 @@ class TestWeakVanishing:
         G = Multiplier(parse_expr("exp(-abs(x))"), 2.0)
         ratio, bound = weak_vanishing_bound(f, G, 1.0, 9.0, eps=1e-3)
         assert ratio <= bound + 1e-12
+
+    def test_samples_share_one_antiderivative_family(self, monkeypatch):
+        # G on all 20,001 samples is one _integrate call, not one per sample
+        f = dist("exp(-x^2)", 2.0)
+        G = Multiplier(parse_expr("exp(-abs(x))"), 2.0)
+        calls = []
+        engine = quadrature._integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_integrate", counting)
+        weak_vanishing_bound(f, G, 1.0, 9.0, eps=1e-3)
+        assert len(calls) <= 8
+
+
+class TestAntiderivative:
+    def test_gaussian_primitive_is_erf(self):
+        G = Multiplier(parse_expr("exp(-x^2)"), 2.0)
+        xs = np.array([-3.0, -0.4, 0.0, 0.4, 3.0])
+        np.testing.assert_allclose(G.G_values(xs), 0.5 * math.sqrt(math.pi) * erf(xs),
+                                   rtol=0.0, atol=1e-12)
+        assert G.G(-0.4) == pytest.approx(-0.5 * math.sqrt(math.pi) * erf(0.4), abs=1e-12)
+
+    @pytest.mark.parametrize("src", ["exp(-abs(x))", "cos(x)*exp(-x^2)"])
+    def test_values_match_pointwise_integrals(self, src):
+        g = parse_expr(src)
+        xs = np.linspace(-10.0, 30.0, 2001)
+        ref = np.array([integrate(g, 0.0, x).value for x in xs])
+        np.testing.assert_allclose(Multiplier(g, 2.0).G_values(xs), ref, rtol=1e-12, atol=0.0)
+
+    def test_unconverged_value_raises(self):
+        G = Multiplier(parse_expr("sin(x^(-1))"), math.inf)
+        with pytest.raises(ConvergenceError, match=r"lpspace G_1.*x=1\.0"):
+            G.G(1.0)
 
 
 class TestTranslationAndGateaux:
