@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from .convolution import conv_lq, star
 from .errors import LprimError, SchemaError
 from .expr import FunctionExpr
-from .fourier import fourier, fourier_primitive, parseval_check
+from .fourier import fourier, parseval_check, transform_of
 from .higher import IteratedMultiplier, NthDistribution, pair_n
 from .lpspace import (
     DeltaTrain,
@@ -41,7 +41,7 @@ from .verify import run_suites
 class RunReport:
     command: str
     inputs: str  # canonical JSON of the invocation
-    outputs: list = field(default_factory=list)  # (label, value, err_est)
+    outputs: list = field(default_factory=list)  # rows: (label, value, err_est) by default
     pass_fail: list = field(default_factory=list)  # (name, ok, tolerance)
     wall_time: float = 0.0
     header: str = "label,value,err_est"
@@ -294,11 +294,11 @@ def _run(args, cfg):
             rows.append((f"primitive({x:g})",
                          float(res.payload.F.values([x])[0]), 0.0))
     elif cmd == "fourier":
-        F = _expr_arg(args.F)
-        f = PrimitiveDistribution(F, 1.0, cfg=cfg)
+        f = PrimitiveDistribution(_expr_arg(args.F), 1.0, cfg=cfg)
+        Fhat = transform_of(f, cfg)  # every s shares f's samplings
         for s in _floats(args.s):
-            v = fourier_primitive(F, s, cfg) if args.primitive_only else fourier(f, s, cfg)
-            rows.append((_fmt(s), v.re, v.im))
+            v = Fhat.at(s) if args.primitive_only else fourier(f, s, cfg)
+            rows.append((_fmt(s), v.re, v.im, v.err_est))
     elif cmd == "parseval":
         f = PrimitiveDistribution(_expr_arg(args.F), 2.0, cfg=cfg)
         g = PrimitiveDistribution(_expr_arg(args.G), 2.0, cfg=cfg)
@@ -373,13 +373,13 @@ def dispatch(argv):
     return report, code
 
 
-_HEADERS = {"fourier": "s,re,im", "poisson-converge": "y,norm,err_est"}
+_HEADERS = {"fourier": "s,re,im,err_est", "poisson-converge": "y,norm,err_est"}
 
 
 def render_csv(report):
     lines = [report.header]
-    for label, value, err in report.outputs:
-        lines.append(f"{label},{_fmt(value)},{_fmt(err)}")
+    for row in report.outputs:
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -8,17 +8,22 @@ showing that differentiating the transform is not the transform of the
 derivative.
 
 Every transform value is one integral of F(x) e^{-isx} dx, computed by
-the Filon-Legendre rule of ``quadrature.fourier_integral``: F is sampled
+the Filon-Legendre rule of ``quadrature.FourierSampling``: F is sampled
 once, on panels adapted to F alone (split at its singular points, kinks
 and support ends, bisected until the trailing Legendre coefficients meet
 the tolerance, graded toward singular points), and each panel's Legendre
 series is integrated exactly against e^{-isx}.  Cost and error do not
-depend on s, and several s share one sampling.  For |s| >= 50 a smooth F
-with gaussian or exponential decay is replaced by F'''' / s^4 (four
-integrations by parts), which keeps the rounding noise of the rule s^4
-times below the transform's true, tiny, size.  Values carry the rule's
-error bound in ``err_est``; one that cannot meet the tolerance raises
-ConvergenceError naming the s.
+depend on s.  The s of one distribution share one sampling across calls:
+the distribution keeps its ``Transform`` (``transform_of``), so that
+``fourier``, ``fourier_n`` and the right side of
+``translation_modulation`` sample its F once however many s they ask
+for.  ``fourier_primitive`` on a bare F, and the translate on the left
+side of ``translation_modulation``, build a Transform for one value.
+For |s| >= 50 a smooth F with gaussian or exponential decay is replaced
+by F'''' / s^4 (four integrations by parts), which keeps the rounding
+noise of the rule s^4 times below the transform's true, tiny, size.
+Values carry the rule's error bound in ``err_est``; one that cannot meet
+the tolerance raises ConvergenceError naming the s.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .errors import ConvergenceError, ExponentError, IntegrabilityError, LprimEr
 from .expr import Wrapped, var_expr
 from .lpspace import translate
 from .parser import parse_expr
-from .quadrature import DEFAULT_CONFIG, fourier_integral, integrate_line, lp_norm
+from .quadrature import DEFAULT_CONFIG, FourierSampling, integrate_line, lp_norm
 
 
 @dataclass(frozen=True)
@@ -84,43 +89,76 @@ def _smooth_fourth_derivative(F):
 _IBP_THRESHOLD = 50.0
 
 
-def _transform(F, ss, cfg=None):
-    """F^(s) for every s of the array ``ss``, with error estimates.
+class Transform:
+    """F^(s) at any s for one primitive F, with error estimates.
 
-    s = 0 is the line integral of F.  The other s share one Filon-Legendre
-    sampling of F (quadrature.fourier_integral).  For |s| >= 50 a smooth F
-    with gaussian or exponential decay is replaced by F'''' / s^4, the
-    transform after four integrations by parts: the rule's rounding noise
-    is then s^4 times smaller.  Raises ConvergenceError naming the s."""
+    s = 0 is the line integral of F.  The other s are integrals of
+    F(x) e^{-isx} dx by the Filon-Legendre rule (quadrature.FourierSampling).
+    For |s| >= 50 a smooth F with gaussian or exponential decay is replaced
+    by F'''' / s^4, the transform after four integrations by parts: the
+    rule's rounding noise is then s^4 times smaller.  Every call shares
+    what the earlier ones built: the sampling of F, the sampling of F''''
+    (built when an |s| >= 50 first asks) and the line integral (built when
+    s = 0 first asks)."""
+
+    def __init__(self, F, cfg=None):
+        self.F = F
+        self.cfg = cfg or DEFAULT_CONFIG
+        self._low = FourierSampling(F, self.cfg)
+        self._high = None  # the sampling of F'''', or False when F has none
+        self._zero = None  # the line integral of F
+
+    def values(self, ss):
+        """F^(s) and its error estimate for every s of the array ``ss``;
+        raises ConvergenceError naming the s."""
+        ss = np.asarray(ss, dtype=float).ravel()
+        value = np.zeros(ss.size, dtype=complex)
+        err = np.zeros(ss.size)
+        conv = np.ones(ss.size, dtype=bool)
+        zero = ss == 0.0
+        if zero.any():
+            if self._zero is None:
+                self._zero = integrate_line(self.F, self.cfg)
+            r = self._zero
+            value[zero], err[zero], conv[zero] = r.value, r.err_est, r.converged
+        high = ~zero & (np.abs(ss) >= _IBP_THRESHOLD)
+        if high.any() and self._high is None:
+            d4 = _smooth_fourth_derivative(self.F)
+            self._high = False if d4 is None else FourierSampling(d4, self.cfg)
+        if not self._high:
+            high[:] = False
+        for mask, rule, power in ((~zero & ~high, self._low, 0), (high, self._high, 4)):
+            if mask.any():
+                scale = ss[mask] ** -power
+                r = rule(ss[mask])
+                value[mask], err[mask], conv[mask] = r.value * scale, r.err_est * scale, r.converged
+        if not conv.all():
+            i = int(np.argmin(conv))
+            raise ConvergenceError(
+                f"fourier: transform at s={float(ss[i])!r} did not converge (err_est={err[i]:.3g})")
+        return value, err
+
+    def at(self, s):
+        """F^(s) as a ComplexValue."""
+        value, err = self.values([float(s)])
+        return ComplexValue(float(value[0].real), float(value[0].imag), float(err[0]))
+
+
+def transform_of(f, cfg=None):
+    """The Transform of f's primitive that the distribution f keeps, so that
+    all values of f^ share its samplings; a new one replaces it when f's
+    primitive or the configuration is not the kept one's."""
     cfg = cfg or DEFAULT_CONFIG
-    ss = np.asarray(ss, dtype=float).ravel()
-    value = np.zeros(ss.size, dtype=complex)
-    err = np.zeros(ss.size)
-    conv = np.ones(ss.size, dtype=bool)
-    zero = ss == 0.0
-    if zero.any():
-        r = integrate_line(F, cfg)
-        value[zero], err[zero], conv[zero] = r.value, r.err_est, r.converged
-    high = ~zero & (np.abs(ss) >= _IBP_THRESHOLD)
-    d4 = _smooth_fourth_derivative(F) if high.any() else None
-    if d4 is None:
-        high[:] = False
-    for mask, G, power in ((~zero & ~high, F, 0), (high, d4, 4)):
-        if mask.any():
-            scale = ss[mask] ** -power
-            r = fourier_integral(G, ss[mask], cfg)
-            value[mask], err[mask], conv[mask] = r.value * scale, r.err_est * scale, r.converged
-    if not conv.all():
-        i = int(np.argmin(conv))
-        raise ConvergenceError(
-            f"fourier: transform at s={float(ss[i])!r} did not converge (err_est={err[i]:.3g})")
-    return value, err
+    t = getattr(f, "_fourier", None)
+    if t is None or t.F is not f.F or t.cfg != cfg:
+        t = Transform(f.F, cfg)
+        object.__setattr__(f, "_fourier", t)
+    return t
 
 
 def fourier_primitive(F, s, cfg=None):
     """F^(s) = integral of F(x) e^{-isx} dx for F in L^1."""
-    value, err = _transform(F, [float(s)], cfg)
-    return ComplexValue(float(value[0].real), float(value[0].imag), float(err[0]))
+    return Transform(F, cfg).at(s)
 
 
 def fourier(f, s, cfg=None):
@@ -128,8 +166,7 @@ def fourier(f, s, cfg=None):
     if f.p != 1.0:
         raise ExponentError("fourier needs a distribution in L'^1")
     s = float(s)
-    Fh = fourier_primitive(f.F, s, cfg)
-    return ComplexValue(0.0, s) * Fh
+    return ComplexValue(0.0, s) * transform_of(f, cfg).at(s)
 
 
 def fourier_n(f, s, cfg=None):
@@ -140,7 +177,7 @@ def fourier_n(f, s, cfg=None):
     if f.p != 1.0:
         raise ExponentError("fourier_n needs p = 1")
     s = float(s)
-    Fh = fourier_primitive(f.F, s, cfg)
+    Fh = transform_of(f, cfg).at(s)
     z = complex(0.0, s) ** n * Fh.as_complex()
     return ComplexValue(z.real, z.imag, abs(s) ** n * Fh.err_est)
 
@@ -176,10 +213,13 @@ def exchange_identity(f, g, cfg=None):
 
     F = f.F
 
-    # f^(s) = is F^(s) at every node of the outer quadrature, one call
+    # f^(s) = is F^(s) at every node of the outer quadratures, one call
+    # each, all from f's Transform
+    Fhat = transform_of(f, cfg)
+
     def lhs_parts(ss, pick):
         ss = np.asarray(ss, dtype=float)
-        return pick(1j * ss.ravel() * _transform(F, ss, cfg)[0]).reshape(ss.shape)
+        return pick(1j * ss.ravel() * Fhat.values(ss)[0]).reshape(ss.shape)
 
     lhs_re = integrate_line(
         replace(g, root=Wrapped(lambda ss: lhs_parts(ss, np.real), name="fhat_re",
@@ -191,11 +231,11 @@ def exchange_identity(f, g, cfg=None):
     # the action of f = F' on g^ is -integral F (g^)'; (g^)'(x) is the
     # transform of -is g(s), finite because s g(s) is integrable: one call
     # over the outer quadrature's nodes x
-    sg = var_expr() * g
+    sg_hat = Transform(var_expr() * g, cfg)
 
     def ghat_prime(xs, pick):
         xs = np.asarray(xs, dtype=float)
-        return pick(-1j * _transform(sg, xs, cfg)[0]).reshape(xs.shape)
+        return pick(-1j * sg_hat.values(xs)[0]).reshape(xs.shape)
 
     rhs_re = -integrate_line(
         F * replace(F, root=Wrapped(lambda xs: ghat_prime(xs, np.real),

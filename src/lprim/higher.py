@@ -10,7 +10,7 @@ G_k(x) = ∫_0^x (x−t)^{k−1} g(t) dt / (k−1)!) and order/exponent checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -24,12 +24,15 @@ from .quadrature import DEFAULT_CONFIG, integrate, integrate_line, lp_norm
 
 @dataclass(frozen=True)
 class NthDistribution:
-    """f = D^n F with F in L^p; the norm is ||F||_p."""
+    """f = D^n F with F in L^p; the norm is ||F||_p.  ``_fourier`` holds
+    the samplings behind f's Fourier values once one is asked for
+    (fourier.transform_of)."""
 
     F: FunctionExpr
     p: float
     order: int
     norm: float = None
+    _fourier: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.order < 1:

@@ -56,9 +56,11 @@ def _config_for(cfg, osc=None):
 
 
 class PrimitiveDistribution:
-    """f = F' with F in L^p; the norm is computed at construction."""
+    """f = F' with F in L^p; the norm is computed at construction.  The
+    slot ``_fourier`` holds the samplings behind f's Fourier values once
+    one is asked for (fourier.transform_of)."""
 
-    __slots__ = ("F", "p", "norm", "osc_wavelength")
+    __slots__ = ("F", "p", "norm", "osc_wavelength", "_fourier")
 
     def __init__(self, F, p, cfg=None, osc_wavelength=None, _norm=None):
         self.p = _check_p(p)
@@ -177,12 +179,13 @@ def dual_norm(f, cfg=None):
 
 
 def translate(f, t):
-    """tau_t f, the distribution with primitive tau_t F."""
+    """tau_t f, the distribution with primitive tau_t F; translation keeps
+    the norm."""
     t = float(t)
     if t == 0.0:
         return f
     return PrimitiveDistribution(
-        f.F.affine(1.0, -t), f.p, osc_wavelength=f.osc_wavelength
+        f.F.affine(1.0, -t), f.p, osc_wavelength=f.osc_wavelength, _norm=f.norm
     )
 
 

@@ -15,9 +15,11 @@ x-derivatives map the line onto a finite angle interval first
 (``angle_integral``), so they need no tails.
 
 Fourier integrals, the integral of f(x) e^{-isx} dx at many s, take a
-Filon-Legendre rule instead (``fourier_integral``): f is sampled once on
+Filon-Legendre rule instead (``FourierSampling``): f is sampled once on
 Legendre panels adapted to f alone, and the oscillation is integrated
-exactly, so neither the work nor the error grows with s.
+exactly, so neither the work nor the error grows with s.  The sampling
+is one object, and every s it is called at, in one call or across
+calls, shares it; ``fourier_integral`` builds one and calls it once.
 """
 
 from __future__ import annotations
@@ -841,7 +843,7 @@ class ConvolutionValues(FamilyValues):
 # Filon-Legendre rule for Fourier integrals
 #
 # The integrals of f(x) e^{-isx} dx at many s share one sampling of f, on
-# panels adapted to f alone.  On each panel f is replaced by its Legendre
+# panels adapted to f alone (FourierSampling, kept across calls).  On each panel f is replaced by its Legendre
 # series from _FL_N Gauss-Legendre samples, and each P_k is integrated
 # exactly against the oscillation:
 #     integral_{-1}^{1} P_k(t) e^{-iwt} dt = 2 (-i)^k j_k(w),
@@ -887,10 +889,11 @@ def _fl_segments(f, a, b, cfg, hmax):
     ``hmax``; those pieces are returned apart, for the tanh-sinh rule.
     Every other panel is bisected until its Legendre tail meets its share,
     by width, of the segment's tolerance max(abs_tol, _FL_FLOOR * the
-    L^1 mass of f on the segment).
+    L^1 mass of f on the segment).  Below the _MAX_PANELS cap the
+    segments do not interact: each gets the panels it would get alone.
 
     Returns (panels, singular pieces, per-segment error, converged, mass):
-    panels as (lo, hi, coef), pieces as (lo, hi)."""
+    panels as (lo, hi, coef, segment index), pieces as (lo, hi)."""
     sing = set(f.singularities)
     lo, hi, seg, s_lo, s_hi = [], [], [], [], []
     for j, (p, q) in enumerate(zip(a, b)):
@@ -935,29 +938,39 @@ def _fl_segments(f, a, b, cfg, hmax):
         coef, err, mass = (np.concatenate([old[keep], fresh])
                            for old, fresh in zip((coef, err, mass), new))
     seg_err = np.bincount(seg, err, n)
-    return ((lo, hi, coef), (np.array(s_lo, dtype=float), np.array(s_hi, dtype=float)),
+    return ((lo, hi, coef, seg), (np.array(s_lo, dtype=float), np.array(s_hi, dtype=float)),
             seg_err, seg_err <= tol, np.bincount(seg, mass, n))
 
 
-def _filon_sum(lo, hi, coef, s):
-    """Sum over the panels of the integral of each panel's Legendre series
-    times e^{-isx}, for every s; panels of equal width share moments, which
-    come from one spherical_jn call per chunk of (s, width) pairs."""
+def _fl_groups(lo, hi, coef):
+    """The panels [lo, hi] grouped by half-width, for _filon_sum: the
+    distinct half-widths, and for each the panels' midpoints and their
+    Legendre coefficients times the moment factors 2 (-i)^k."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     weighted = coef * _FL_MOMENT
+    widths = np.unique(half)
+    return widths, [(mid[sel], weighted[sel]) for sel in (half == h for h in widths)]
+
+
+def _filon_sum(groups, s):
+    """Sum over the panels of ``groups`` (_fl_groups) of the integral of
+    each panel's Legendre series times e^{-isx}, for every s; panels of
+    equal width share moments, which come from one spherical_jn call per
+    chunk of (s, width) pairs."""
+    widths, parts = groups
     k = np.arange(_FL_N)
     out = np.zeros(s.size, dtype=complex)
-    widths = np.unique(half)
     pairs = max(1, _FL_MOMENT_BATCH // _FL_N)  # (s, width) pairs per call
     nw = max(1, min(widths.size, pairs // max(1, s.size)))  # widths per call
     for i in range(0, s.size, pairs // nw):  # every s at once, unless many
         sq = s[i:i + pairs // nw]
         for c in range(0, widths.size, nw):
             moments = _sp_spherical_jn(k, sq[:, None, None] * widths[c:c + nw, None])
-            for h, m in zip(widths[c:c + nw], moments.transpose(1, 0, 2)):  # (q, k) each
-                sel = half == h
-                phase = np.exp(-1j * np.outer(sq, mid[sel]))
-                out[i:i + sq.size] += h * np.einsum("qk,qk->q", m, phase @ weighted[sel])
+            # moments (q, k) of each width, with its panels
+            for h, m, (mid, weighted) in zip(widths[c:c + nw], moments.transpose(1, 0, 2),
+                                             parts[c:c + nw]):
+                phase = np.exp(-1j * np.outer(sq, mid))
+                out[i:i + sq.size] += h * np.einsum("qk,qk->q", m, phase @ weighted)
     return out
 
 
@@ -980,15 +993,12 @@ def _fl_singular(f, lo, hi, s, cfg):
             r.converged.reshape(m, q, 2).all(axis=(0, 2)))
 
 
-def _asymptotic_tails(f, s, r, cfg):
-    """Both tails beyond |x| = R of the integral of f(x) e^{-isx} dx for a
-    power-decay f, by the asymptotic sum
-        e^{-isR} sum_k f^(k)(R) / (is)^(k+1) - e^{isR} sum_k f^(k)(-R) / (is)^(k+1),
-    k < K, whose remainder is at most integral_{|x|>R} |f^(K)| / |s|^K,
-    estimated as (|f^(K)(R)| + |f^(K)(-R)|) R / (beta + K - 1) / |s|^K.
-    R doubles from r until the remainder at the smallest |s| is within
-    abs_tol / 4; past truncation_radius it raises ConvergenceError.
-    Returns (R, tails, remainder per s)."""
+def _power_tail_table(f, r, cfg):
+    """What the asymptotic tail sum of a power-decay f needs at every s:
+    the candidate radii R = r 2^k up to truncation_radius, the values of
+    f, f', ..., f^(K) at R and -R (one evaluation per derivative), and the
+    remainder bound at each R before its factor |s|^-K (infinite where a
+    value is not finite).  Returns (Rs, vals, bound, K)."""
     beta = f.decay[1]
     if beta <= 1.0:
         raise IntegrabilityError(f"power decay beta={beta} <= 1: line integral diverges")
@@ -999,12 +1009,25 @@ def _asymptotic_tails(f, s, r, cfg):
     except LprimError:
         pass  # a node without a symbolic derivative: fewer terms
     K = len(derivs) - 1
-    # every candidate R at once: one evaluation per derivative
     Rs = r * 2.0 ** np.arange(max(0, int(np.log2(cfg.truncation_radius / r))) + 1)
     vals = np.array([d.values(np.concatenate([Rs, -Rs])) for d in derivs])
     vals = vals.reshape(K + 1, 2, Rs.size)
     bound = np.abs(vals[K]).sum(axis=0) * Rs / (beta + K - 1.0)
-    fit = np.isfinite(vals).all(axis=(0, 1)) & (bound <= 0.25 * cfg.abs_tol * np.min(np.abs(s)) ** K)
+    bound[~np.isfinite(vals).all(axis=(0, 1))] = np.inf
+    return Rs, vals, bound, K
+
+
+def _asymptotic_tails(table, s, cfg):
+    """Both tails beyond |x| = R of the integral of f(x) e^{-isx} dx for a
+    power-decay f, by the asymptotic sum
+        e^{-isR} sum_k f^(k)(R) / (is)^(k+1) - e^{isR} sum_k f^(k)(-R) / (is)^(k+1),
+    k < K, whose remainder is at most integral_{|x|>R} |f^(K)| / |s|^K,
+    estimated as (|f^(K)(R)| + |f^(K)(-R)|) R / (beta + K - 1) / |s|^K.
+    R is the first radius of ``table`` (_power_tail_table) where the
+    remainder at the smallest |s| is within abs_tol / 4; if none is, this
+    raises ConvergenceError.  Returns (R, tails, remainder per s)."""
+    Rs, vals, bound, K = table
+    fit = bound <= 0.25 * cfg.abs_tol * np.min(np.abs(s)) ** K
     if not fit.any():
         raise ConvergenceError(
             f"power-decay tail not within tolerance inside |x| <= {cfg.truncation_radius:g}")
@@ -1016,10 +1039,13 @@ def _asymptotic_tails(f, s, r, cfg):
     return R, tails, bound[i] / np.abs(s) ** K
 
 
-def fourier_integral(f, s, cfg=None):
-    """The integral of f(x) e^{-isx} dx over the line at every s of the
-    array (or scalar) ``s``, all nonzero, from one sampling of f; a
-    FamilyResult with one complex value per s.
+_NO_PANELS = (np.zeros(0), np.zeros(0), np.zeros((0, _FL_N)), 0.0, True)
+
+
+class FourierSampling:
+    """The Filon-Legendre sampling of f behind the integrals of
+    f(x) e^{-isx} dx over the line.  Calling it at an array (or scalar)
+    ``s``, all nonzero, gives a FamilyResult with one complex value per s.
 
     The line splits at f's singular points, kinks and support ends, and the
     Filon-Legendre rule integrates each panel.  Tails by decay class:
@@ -1029,77 +1055,152 @@ def fourier_integral(f, s, cfg=None):
     of _asymptotic_tails; decay 'none' is accepted only with vanishing
     shells.  The error estimate sums the panels' Legendre tails, the
     tanh-sinh errors and the tail bound.
+
+    Every call shares one sampling.  The panels depend on f alone and are
+    sampled on the first call, but for two parts that grow with the calls:
+    - a segment that ends at a singular point is graded toward it down to
+      pieces of half-width 1/max|s|, and graded again only when a call's
+      1/max|s| is finer than every earlier one (a coarser call uses the
+      finer grade); the pieces themselves take the tanh-sinh rule at each
+      call;
+    - a power tail starts at the radius R that the call's smallest |s|
+      needs, and shells out to R are added when R passes every earlier one
+      (a call with a smaller R uses the shells inside it only).
+    So a call gets the value a sampling of its own s would give, up to the
+    order of the sums, unless an earlier call graded a singular point more
+    finely.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
-    if not np.all(s != 0.0):
-        raise LprimError("fourier_integral needs s != 0")
-    hmax = 1.0 / np.max(np.abs(s))
-    kind = f.decay[0]
-    feats = np.unique(np.array(f.feature_points() + _centre_cuts(f), dtype=float))
-    tail, tail_err = np.zeros(s.size, dtype=complex), np.zeros(s.size)
 
-    def pieces(a, b):
-        pts = np.concatenate([[a], feats[(feats > a) & (feats < b)], [b]])
-        wide = pts[1:] > pts[:-1]
-        return pts[:-1][wide], pts[1:][wide]
+    def __init__(self, f, cfg=None):
+        self.f = f
+        self.cfg = cfg or DEFAULT_CONFIG
+        self._blocks = None  # [(reach, lo, hi, coef, err, ok)], reach ascending
+        self._graded_ab = None  # the segments that end at a singular point
+        self._graded = _NO_PANELS  # (lo, hi, coef, err, ok) of their panels
+        self._pieces = (np.zeros(0), np.zeros(0))  # for the tanh-sinh rule
+        self._grade = math.inf
+        self._joined = {}  # number of blocks used -> (width groups, err, ok)
+        self._table = None  # the power tail's _power_tail_table
+        self._r = None  # the outer radius of the power-tail shells so far
 
-    if f.support is not None:
-        lo = max(f.support[0], -cfg.truncation_radius)
-        a, b = pieces(lo, max(min(f.support[1], cfg.truncation_radius), lo))
-    else:
-        r = effective_radius(f)
-        a, b = pieces(-r, r)
-        if kind == "power":
-            R, tail, tail_err = _asymptotic_tails(f, s, r, cfg)
-            while r < R:  # the shells between r and R
-                a, b = np.append(a, [r, -2 * r]), np.append(b, [2 * r, -r])
+    def _sample(self, a, b, hmax=math.inf):
+        """_fl_segments of f on [a[j], b[j]]; (panels, pieces, err, ok, mass)."""
+        return _fl_segments(self.f, a, b, self.cfg, hmax)
+
+    def _setup(self):
+        """The panels that do not depend on s: the core segments apart from
+        those ending at a singular point, and the gaussian, exponential or
+        'none' shells, to the quiet-shell stopping rule."""
+        f, cfg = self.f, self.cfg
+        feats = np.unique(np.array(f.feature_points() + _centre_cuts(f), dtype=float))
+
+        def pieces(a, b):
+            pts = np.concatenate([[a], feats[(feats > a) & (feats < b)], [b]])
+            wide = pts[1:] > pts[:-1]
+            return pts[:-1][wide], pts[1:][wide]
+
+        if f.support is not None:
+            lo = max(f.support[0], -cfg.truncation_radius)
+            a, b = pieces(lo, max(min(f.support[1], cfg.truncation_radius), lo))
+        else:
+            r = effective_radius(f)
+            a, b = pieces(-r, r)
+        sing = np.array(f.singularities, dtype=float)
+        graded = np.isin(a, sing) | np.isin(b, sing)
+        (lo, hi, coef, _), _, err, ok, _ = self._sample(a[~graded], b[~graded])
+        # a block without panels carries the bound on the tails beyond it
+        blocks = [(0.0, lo, hi, coef, err.sum(), bool(ok.all()))]
+        if f.support is None and f.decay[0] == "power":
+            self._table, self._r = _power_tail_table(f, r, cfg), r
+        elif f.support is None:
+            # gaussian / exponential / none: doubling shells, as _integrate_line
+            kind = f.decay[0]
+            prev, quiet = np.nan, 0
+            while True:
+                if r >= cfg.truncation_radius:
+                    blocks.append((0.0,) + _NO_PANELS[:3] + (0.0, False))
+                    break
+                (lo, hi, coef, _), _, err, ok, mass = self._sample([r, -2 * r], [2 * r, -r])
+                blocks.append((0.0, lo, hi, coef, err.sum(), bool(ok.all())))
+                mass = mass.sum() + err.sum()
                 r *= 2
-    panels, sing, seg_err, seg_ok, _ = _fl_segments(f, a, b, cfg, hmax)
-    parts = [panels]
-    singular = [sing]
-    err = seg_err.sum()
-    ok = bool(seg_ok.all())
+                if kind == "none":
+                    if mass != 0.0:
+                        raise ConvergenceError(
+                            "decay class 'none' with nonzero tails: cannot certify convergence")
+                    quiet += 1
+                    if quiet >= 2:
+                        break
+                    continue
+                if mass < 0.25 * cfg.abs_tol:
+                    if prev >= mass or quiet >= 1:
+                        blocks.append((0.0,) + _NO_PANELS[:3] + (2 * mass, True))
+                        break
+                    quiet += 1
+                prev = mass
+        self._graded_ab = (a[graded], b[graded])
+        self._blocks = blocks
 
-    if f.support is None and kind != "power":
-        # gaussian / exponential / none: doubling shells, as _integrate_line
-        prev, quiet = np.nan, 0
-        while True:
-            if r >= cfg.truncation_radius:
-                ok = False
-                break
-            shell, sing, s_err, s_ok, mass = _fl_segments(
-                f, np.array([r, -2 * r]), np.array([2 * r, -r]), cfg, hmax)
-            parts.append(shell)
-            singular.append(sing)
-            err += s_err.sum()
-            ok &= bool(s_ok.all())
-            mass = mass.sum() + s_err.sum()
+    def _extend(self, R):
+        """The power-tail shells [r, 2r] and [-2r, -r] from the outermost
+        one sampled so far out to R, one block per shell pair."""
+        rs = []
+        r = self._r
+        while r < R:
+            rs.append(r)
             r *= 2
-            if kind == "none":
-                if mass != 0.0:
-                    raise ConvergenceError(
-                        "decay class 'none' with nonzero tails: cannot certify convergence")
-                quiet += 1
-                if quiet >= 2:
-                    break
-                continue
-            if mass < 0.25 * cfg.abs_tol:
-                if prev >= mass or quiet >= 1:
-                    err += 2 * mass
-                    break
-                quiet += 1
-            prev = mass
+        if not rs:
+            return
+        rs = np.array(rs)
+        n = rs.size
+        (lo, hi, coef, seg), _, err, ok, _ = self._sample(np.concatenate([rs, -2 * rs]),
+                                                          np.concatenate([2 * rs, -rs]))
+        for j in range(n):
+            sel = (seg == j) | (seg == j + n)
+            self._blocks.append((2 * rs[j], lo[sel], hi[sel], coef[sel],
+                                 err[j] + err[j + n], bool(ok[j] and ok[j + n])))
+        self._r = r
 
-    lo, hi, coef = (np.concatenate(c) for c in zip(*parts))
-    value = _filon_sum(lo, hi, coef, s) + tail
-    err = err + tail_err
-    conv = np.full(s.size, ok)
-    s_lo, s_hi = (np.concatenate(c) for c in zip(*singular))
-    if s_lo.size:
-        v, e, c = _fl_singular(f, s_lo, s_hi, s, cfg)
-        value, err, conv = value + v, err + e, conv & c
-    return FamilyResult(value, err, conv)
+    def __call__(self, s):
+        s = np.atleast_1d(np.asarray(s, dtype=float)).ravel()
+        if not np.all(s != 0.0):
+            raise LprimError("fourier_integral needs s != 0")
+        if self._blocks is None:
+            self._setup()
+        hmax = 1.0 / np.max(np.abs(s))
+        if hmax < self._grade and self._graded_ab[0].size:
+            (lo, hi, coef, _), self._pieces, err, ok, _ = self._sample(*self._graded_ab, hmax)
+            self._graded = (lo, hi, coef, err.sum(), bool(ok.all()))
+            self._grade = hmax
+            self._joined.clear()
+        R, tail, tail_err = math.inf, 0.0, 0.0
+        if self._table is not None:
+            R, tail, tail_err = _asymptotic_tails(self._table, s, self.cfg)
+            self._extend(R)
+        # the blocks within R and the graded panels, grouped by width once
+        # per number of blocks
+        n = sum(blk[0] <= R for blk in self._blocks)
+        if n not in self._joined:
+            used = [blk[1:] for blk in self._blocks[:n]] + [self._graded]
+            lo, hi, coef = (np.concatenate(c) for c in list(zip(*used))[:3])
+            self._joined[n] = (_fl_groups(lo, hi, coef), sum(u[3] for u in used),
+                               all(u[4] for u in used))
+        groups, err, ok = self._joined[n]
+        value = _filon_sum(groups, s) + tail
+        err = np.full(s.size, err) + tail_err
+        conv = np.full(s.size, ok)
+        if self._pieces[0].size:
+            v, e, c = _fl_singular(self.f, *self._pieces, s, self.cfg)
+            value, err, conv = value + v, err + e, conv & c
+        return FamilyResult(value, err, conv)
+
+
+def fourier_integral(f, s, cfg=None):
+    """The integral of f(x) e^{-isx} dx over the line at every s of the
+    array (or scalar) ``s``, all nonzero, from one sampling of f: a
+    FourierSampling built for this call and called once.  A FamilyResult
+    with one complex value per s."""
+    return FourierSampling(f, cfg)(s)
 
 
 def _scan_size(a, b, cfg, n):

@@ -135,12 +135,13 @@ class TestSubcommands:
     def test_fourier_header_and_values(self):
         report, code = run("fourier", "--F", "indicator(-1,1)", "--s", "1,2")
         assert code == 0
-        assert report.header == "s,re,im"
-        for (label, re, im) in report.outputs:
+        assert report.header == "s,re,im,err_est"
+        for (label, re, im, err_est) in report.outputs:
             s = float(label)
-            assert complex(re, im) == pytest.approx(
-                2j * math.sin(s), abs=1e-9
-            )
+            error = abs(complex(re, im) - 2j * math.sin(s))
+            assert error <= 1e-9
+            assert err_est >= error
+        assert render_csv(report).splitlines()[1].count(",") == 3
 
     def test_parseval(self):
         report, code = run(

@@ -17,9 +17,11 @@ from lprim.fourier import (
     exchange_identity,
     fourier,
     fourier_n,
+    Transform,
     fourier_primitive,
     inner_product,
     parseval_check,
+    transform_of,
     translation_modulation,
 )
 from lprim.higher import NthDistribution
@@ -177,7 +179,7 @@ class TestFilonRule:
 
         monkeypatch.setattr(quadrature, "_FL_MOMENT_BATCH", batch)
         monkeypatch.setattr(quadrature, "_sp_spherical_jn", counted)
-        got = quadrature._filon_sum(lo, hi, coef, s)
+        got = quadrature._filon_sum(quadrature._fl_groups(lo, hi, coef), s)
         return got, TestFilonRule.per_width(lo, hi, coef, s), calls
 
     @pytest.mark.parametrize("batch", (1 << 18, 200))
@@ -204,6 +206,77 @@ class TestFilonRule:
         Fh = fourier_primitive(f.F, 4.0)
         assert Fh.err_est > 0.0
         assert fourier(f, 4.0).err_est == pytest.approx(4.0 * Fh.err_est, rel=1e-12)
+
+
+class TestReuse:
+    """The values of one distribution share its samplings across calls."""
+
+    SIX = (0.7, 3.0, 20.0, 60.0, 300.0, 900.0)
+
+    def test_six_calls_sample_once(self, monkeypatch):
+        F = parse_expr("exp(-x^2)")
+        f = PrimitiveDistribution(F, 1.0)
+        seen = count_points(monkeypatch)
+        Transform(F).values(self.SIX)
+        together = seen[0]
+        seen[0] = 0
+        for s in self.SIX:
+            fourier(f, s)
+        assert seen[0] <= 1.1 * together, (seen[0], together)
+
+    def test_sequential_values_match_fresh_ones(self):
+        f = dist("exp(-x^2)", 1.0)
+        for s in self.SIX:
+            got = fourier(f, s).as_complex()
+            fresh = 1j * s * fourier_primitive(f.F, s).as_complex()
+            assert abs(got - fresh) <= 1e-12 * max(1.0, abs(got)), s
+
+    @pytest.mark.parametrize("order", [(60.0, 0.5, 3.0, 60.0), (0.5, 3.0, 60.0, 0.5)])
+    def test_singular_grade_after_reuse(self, order):
+        # the closed form of test_singular_primitive; a call after a finer
+        # one uses the finer grade, a finer one grades again
+        mp = pytest.importorskip("mpmath")
+        f = dist("abs(x)^(-0.5)*exp(-x^2)", 1.0)
+        for s in order:
+            want = 1j * s * float(mp.gamma(0.25) * mp.hyp1f1(0.25, 0.5, -s * s / 4))
+            got = fourier(f, s)
+            assert abs(got.as_complex() - want) <= max(1e-10 * s, got.err_est), s
+
+    def test_power_tail_grows_after_reuse(self):
+        # s = 0.5 needs a larger tail radius than s = 10, s = 3 a smaller one
+        f = dist("(x^2+1)^(-1)", 1.0)
+        for s in (10.0, 0.5, 3.0):
+            got = fourier(f, s).as_complex()
+            assert abs(got - 1j * s * math.pi * math.exp(-abs(s))) <= 1e-9, s
+            fresh = 1j * s * fourier_primitive(f.F, s).as_complex()
+            assert abs(got - fresh) <= 1e-12 * max(1.0, abs(got)), s
+
+    def test_fourier_n_shares_one_sampling(self, monkeypatch):
+        F = parse_expr("exp(-x^2)")
+        f = NthDistribution(F, 1.0, 2)
+        ss = (1.0, 2.5, 6.0)
+        seen = count_points(monkeypatch)
+        Transform(F).values(ss)
+        together = seen[0]
+        seen[0] = 0
+        for s in ss:
+            expected = (1j * s) ** 2 * SQRT_PI * math.exp(-s * s / 4)
+            assert abs(fourier_n(f, s).as_complex() - expected) <= 1e-9, s
+        assert seen[0] <= 1.1 * together, (seen[0], together)
+
+    def test_samplings_live_on_the_distribution(self, monkeypatch):
+        # a second distribution on the same expression samples afresh, and
+        # another configuration replaces the kept transform
+        F = parse_expr("exp(-abs(x))")
+        f, g = PrimitiveDistribution(F, 1.0), PrimitiveDistribution(F, 1.0)
+        fourier(f, 2.0)
+        seen = count_points(monkeypatch)
+        fourier(f, 5.0)
+        assert seen[0] == 0
+        fourier(g, 5.0)
+        assert seen[0] > 0
+        kept = transform_of(f)
+        assert transform_of(f, QuadConfig(abs_tol=1e-9)) is not kept
 
 
 class TestDistributionTransform:

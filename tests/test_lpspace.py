@@ -229,8 +229,11 @@ class TestAntiderivative:
 
 class TestTranslationAndGateaux:
     def test_translation_invariance(self):
+        # translate carries the norm over; an independent integral of the
+        # translated primitive checks that it is the same
         f = dist("exp(-x^2)", 2.0)
-        assert translate(f, 1.7).norm == pytest.approx(f.norm, abs=1e-9)
+        assert translate(f, 1.7).norm == f.norm
+        assert lp_norm(f.F.affine(1.0, -1.7), 2.0) == pytest.approx(f.norm, abs=1e-9)
 
     def test_translation_continuity(self):
         f = dist("exp(-x^2)", 2.0)
