@@ -843,9 +843,9 @@ class ConvolutionValues(FamilyValues):
 # Filon-Legendre rule for Fourier integrals
 #
 # The integrals of f(x) e^{-isx} dx at many s share one sampling of f, on
-# panels adapted to f alone (FourierSampling, kept across calls).  On each panel f is replaced by its Legendre
-# series from _FL_N Gauss-Legendre samples, and each P_k is integrated
-# exactly against the oscillation:
+# panels adapted to f alone (FourierSampling, kept across calls).  On each
+# panel f is replaced by its Legendre series from _FL_N Gauss-Legendre
+# samples, and each P_k is integrated exactly against the oscillation:
 #     integral_{-1}^{1} P_k(t) e^{-iwt} dt = 2 (-i)^k j_k(w),
 # w = s times the panel's half-width.  The error is the series' error,
 # whatever s is.  Chebyshev series would need moments whose recurrence is
