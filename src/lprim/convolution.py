@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .expr import decay_add
 from .lpspace import PrimitiveDistribution, conjugate, _config_for
 from .parser import parse_expr
 from .quadrature import (DEFAULT_CONFIG, ConvolutionValues, effective_radius, integrate_line,
-                         lp_norm)
+                         lp_norm, lp_norms)
 from .sampling import sample_function, sampled_expr
 
 
@@ -80,13 +80,35 @@ def _conv_primitive(F, g, cfg, tol):
     return H, err + h.max_err
 
 
+# (n, m) of the Cauchy tails ||g (w_m - w_n)||_q that conv_lq records;
+# the owners of its norm family are g (owner 0) and these tails
+_TAIL_PAIRS = ((2, 4), (4, 8), (8, 16))
+_TAIL_N, _TAIL_M = np.array([(0, 0), *_TAIL_PAIRS], dtype=float).T
+
+
+def _window(n, x):
+    """The logistic window 1/(1 + e^(-n (n - |x|))): near 1 on |x| < n, near 0 beyond."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-n * (n - np.abs(x))))
+
+
+def _tail_weight(owner, ys):
+    """1 for owner 0, w_m - w_n for the owner of the tail (n, m)."""
+    tail = _window(_TAIL_M[owner], ys) - _window(_TAIL_N[owner], ys)
+    return np.where(owner == 0, 1.0, tail)
+
+
 def conv_lq(f, g, r, cfg=None, tol=1e-9):
     """f * g for f in L'^p and g in L^q with 1/p + 1/q = 1 + 1/r.
 
     The result is the element of L'^r with primitive F * g.  Diagnostics
     carry the Cauchy-tail record of the defining approximation sequence
     g_n = g * (smooth window of radius n): the tail is bounded by
-    ||F||_p ||g_n - g_m||_q without re-convolving.
+    ||F||_p ||g_n - g_m||_q without re-convolving.  ||g||_q and the three
+    ||g (w_m - w_n)||_q are one integral family (quadrature.lp_norms):
+    the windows are evaluated in numpy, one sign-change scan of g serves
+    all four, and the tails also split at 0 and at +-(m + n), where
+    w_m - w_n changes sign.
     """
     p = f.p
     q_needed = 1.0 + 1.0 / r - 1.0 / p
@@ -97,7 +119,8 @@ def conv_lq(f, g, r, cfg=None, tol=1e-9):
         raise ExponentError(f"exponent relation needs q={q:.4g} >= 1")
     q = max(q, 1.0)
     cfg = _config_for(cfg, f.osc_wavelength)
-    norm_g = lp_norm(g, q, cfg)
+    cuts = ((),) + tuple((0.0, -(m + n), m + n) for n, m in _TAIL_PAIRS)
+    norm_g, *tail_norms = lp_norms(g, q, cfg, cuts, _tail_weight)
     if norm_g == 0.0:
         zero = parse_expr("0*indicator(0,1)")
         return ConvolutionResult(
@@ -106,18 +129,8 @@ def conv_lq(f, g, r, cfg=None, tol=1e-9):
             {"young_bound": 0.0, "cauchy_tail": [], "density": lambda x: 0.0},
         )
     H, err = _conv_primitive(f.F, g, cfg, tol)
-    dist = PrimitiveDistribution(H, r)
-
-    # Cauchy tails of the truncate-and-smooth sequence (logistic window)
-    tails = []
-    for n, m in ((2, 4), (4, 8), (8, 16)):
-        wn = parse_expr(f"1/(1+exp(-{n}*({n}-abs(x))))")
-        wm = parse_expr(f"1/(1+exp(-{m}*({m}-abs(x))))")
-        d = g * (wm - wn)
-        # the windows are bounded by 1, so the difference decays like g itself
-        d = replace(d, decay=g.decay)
-        dq = lp_norm(d, q, cfg)
-        tails.append((n, m, f.norm * dq))
+    dist = PrimitiveDistribution(H, r, cfg)
+    tails = [(n, m, f.norm * dq) for (n, m), dq in zip(_TAIL_PAIRS, tail_norms)]
 
     gp = _try_diff(g)
     density = None if gp is None else ConvolutionValues(f.F, gp, cfg, "convolution").at
@@ -151,13 +164,13 @@ def star(f, g, cfg=None, tol=5e-10):
     """f star g for f, g in L'^1: the distribution with primitive F * G."""
     if f.p != 1.0 or g.p != 1.0:
         raise ExponentError("star needs both factors in L'^1")
-    cfg = cfg or DEFAULT_CONFIG
+    cfg = _config_for(cfg, f.osc_wavelength or g.osc_wavelength)
     if f.norm == 0.0 or g.norm == 0.0:
         zero = parse_expr("0*indicator(0,1)")
         return ConvolutionResult("star", PrimitiveDistribution(zero, 1.0, _norm=0.0),
                                  {"density": lambda x: 0.0})
     H, err = _conv_primitive(f.F, g.F, cfg, tol)
-    dist = PrimitiveDistribution(H, 1.0)
+    dist = PrimitiveDistribution(H, 1.0, cfg)
     Gp = _try_diff(g.F)
     density = None if Gp is None else ConvolutionValues(f.F, Gp, cfg, "convolution").at
     diags = {

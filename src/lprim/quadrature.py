@@ -244,6 +244,7 @@ def _gk_eval(fn, owner, lo, hi, rounding=False):
 
 
 _ROUNDING = 8.0 * np.finfo(float).eps
+_W_KG = np.stack([WGK, WG])
 
 
 def _gk_panels(fn, owner, lo, hi, rounding):
@@ -254,11 +255,16 @@ def _gk_panels(fn, owner, lo, hi, rounding):
     poisoned = bad.any()
     if poisoned:
         vals[bad] = 0.0
-    k = (vals @ WGK) * h
-    err = np.abs(k - (vals @ WG) * h)
+    # The row sums go through einsum, whose per-row order is fixed: BLAS
+    # gemv (vals @ WGK) rounds a row differently with the number of rows
+    # in the call, and a family member's value must not depend on which
+    # other members share its evaluation (sample_function batches all
+    # its segments into one call per round).
+    k, g = np.einsum("ij,kj->ki", vals, _W_KG) * h
+    err = np.abs(k - g)
     out = (k, err)
     if rounding:
-        floor = _ROUNDING * (np.abs(vals) @ WGK) * h
+        floor = _ROUNDING * np.einsum("ij,j->i", np.abs(vals), WGK) * h
         out = (k, np.maximum(err, floor), err <= floor)
     if poisoned:
         # a non-finite sample poisons its panel: force refinement there
@@ -1249,6 +1255,21 @@ def find_sign_changes(f, a, b, n=2048):
 
 def lp_norm(f, p, cfg=None, extra_splits=()):
     """(Integral of |f|^p over the line)^(1/p)."""
+    return lp_norms(f, p, cfg, (tuple(extra_splits),))[0]
+
+
+def lp_norms(f, p, cfg=None, cuts=((),), weight=None):
+    """The L^p norms of f w_0, f w_1, ..., one per entry of ``cuts``, as one
+    integral family: owner i integrates |f w_i|^p over the line.
+
+    w_i is ``weight(i, ys)`` at the points ys, or 1 without ``weight``.
+    Each |w_i| must be at most 1, so that f w_i decays like f.  Owner i
+    splits at f's singular points, kinks, decay centre cuts and sign
+    changes, from one scan of f for all owners, and at cuts[i], where w_i
+    may change sign or lose smoothness.  Returns a list of floats; raises
+    ConvergenceError when an owner's integral did not converge and its
+    err_est exceeds 10 times its tolerance.
+    """
     cfg = cfg or DEFAULT_CONFIG
     if not 1.0 <= p < math.inf:
         raise LprimError(f"exponent p={p} outside [1, oo)")
@@ -1259,13 +1280,28 @@ def lp_norm(f, p, cfg=None, extra_splits=()):
         r = effective_radius(f)
         a, b = -r, r
     zeros = find_sign_changes(f, a, b, _scan_size(a, b, cfg, 2048))
-    splits = tuple(extra_splits) + tuple(zeros)
-    res = integrate_line(integrand, cfg, extra_splits=splits)
-    if not res.converged and res.err_est > 10 * max(cfg.abs_tol, cfg.rel_tol * abs(res.value)):
-        raise ConvergenceError(
-            f"L^{p} norm integral did not converge (err_est={res.err_est:.3g})"
-        )
-    return max(res.value, 0.0) ** (1.0 / p)
+    one = _single(integrand, zeros, line=True)
+    n = len(cuts)
+    extra = np.full((n, max(map(len, cuts))), np.nan)  # nan pads: never inside a piece
+    for i, c in enumerate(cuts):
+        extra[i, :len(c)] = c
+    fn = one.fn
+    if weight is not None:
+        def fn(owner, ys):
+            return integrand.values(ys) * np.abs(weight(owner, ys)) ** p
+    every = np.zeros(n, dtype=int)  # every owner takes the one-owner metadata
+    res = _integrate_line(_Family(
+        fn, one.sing[every], np.concatenate([one.cuts[every], extra], axis=1),
+        one.radius[every], None if one.support is None else (one.support[0][every],
+                                                             one.support[1][every]),
+        one.decay), cfg)
+    out = []
+    for r in map(res.__getitem__, range(n)):
+        if not r.converged and r.err_est > 10 * max(cfg.abs_tol, cfg.rel_tol * abs(r.value)):
+            raise ConvergenceError(
+                f"L^{p} norm integral did not converge (err_est={r.err_est:.3g})")
+        out.append(max(r.value, 0.0) ** (1.0 / p))
+    return out
 
 
 def sup_norm(f, cfg=None):

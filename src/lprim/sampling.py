@@ -5,6 +5,8 @@ represented as cubic splines over per-segment adaptive samples, with the
 segments cut at the points where the target can lose smoothness.  The
 spline error is driven below a requested tolerance by doubling the sample
 density and testing the interpolant against fresh midpoint evaluations.
+All segments refine together, with one evaluator call per round for the
+midpoints of every segment still above the tolerance.
 
 Each segment's interpolant is the not-a-knot cubic spline through its
 samples.  Its slopes come from one LAPACK tridiagonal solve (`dgtsv`) per
@@ -90,50 +92,61 @@ def sample_function(
     need spacing tied to the kernel scale).  Raises ConvergenceError when
     a segment reaches ``max_points`` with its spline error above ``tol``,
     or when a sample is not finite.
+
+    The segments are refined together: one ``evaluate`` call takes the
+    initial grids of all segments, and each later call the midpoints of
+    every segment still refining, so there are 1 + (the deepest segment's
+    rounds) calls.  Each segment keeps its own stopping rule, so when
+    ``evaluate`` gives each point the value it would give it alone, the
+    samples and the spline are those of segment-by-segment refinement.
     """
     if hi <= lo:
         raise ConvergenceError("sample_function needs hi > lo")
     if initial < 3 or max_points < 3:
         raise ConvergenceError("sample_function needs initial >= 3 and max_points >= 3")
     cuts = sorted({float(lo), float(hi)} | {float(b) for b in breakpoints if lo < b < hi})
-    knots = [cuts[:1]]
-    coefs = []
-    worst = 0.0
+    grids = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         n = initial
         if min_spacing is not None:
             n = max(n, int(math.ceil((b - a) / min_spacing)))
-        n = min(n, max_points)
-        xs = np.linspace(a, b, n + 1)
-        vals = evaluate(xs)
-        while True:
-            mids = 0.5 * (xs[:-1] + xs[1:])
-            mvals = evaluate(mids)
-            c, s = _cubic(xs, vals), mids - xs[:-1]
+        grids.append(np.linspace(a, b, min(n, max_points) + 1))
+    vals = _split(evaluate(np.concatenate(grids)), grids)
+    errs = [math.inf] * len(grids)
+    live = list(range(len(grids)))
+    while live:
+        mids = [0.5 * (grids[i][:-1] + grids[i][1:]) for i in live]
+        mvals = _split(evaluate(np.concatenate(mids)), mids)
+        for i, m, mv in zip(live, mids, mvals):
+            xs, a, b = grids[i], cuts[i], cuts[i + 1]
+            c, s = _cubic(xs, vals[i]), m - xs[:-1]
             # summed in PPoly's order: the spline's own values, bit for bit
             guess = c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
-            err = float(np.max(np.abs(guess - mvals)))
+            err = errs[i] = float(np.max(np.abs(guess - mv)))
             if not math.isfinite(err):
                 raise ConvergenceError(
                     f"sample_function: non-finite sample on segment [{a:g}, {b:g}]")
             # interleave the midpoints so the refined grid reuses all values
-            xs = np.empty(2 * len(xs) - 1)
-            xs[0::2] = np.linspace(a, b, len(mvals) + 1)
-            xs[1::2] = mids
+            xs = grids[i] = np.empty(2 * len(xs) - 1)
+            xs[0::2] = np.linspace(a, b, len(mv) + 1)
+            xs[1::2] = m
             vv = np.empty_like(xs)
-            vv[0::2] = vals
-            vv[1::2] = mvals
-            vals = vv
-            if err <= tol or len(xs) > max_points:
-                break
-        if err > tol:
-            raise ConvergenceError(
-                f"sample_function: segment [{a:g}, {b:g}] stopped at {len(xs)} points "
-                f"(max_points {max_points}) with spline error {err:.3g} > tol {tol:g}")
-        knots.append(xs[1:])
-        coefs.append(_cubic(xs, vals))
-        worst = max(worst, err)
-    return _Spline(np.concatenate(knots), np.concatenate(coefs, axis=1)), worst
+            vv[0::2] = vals[i]
+            vv[1::2] = mv
+            vals[i] = vv
+            if len(xs) > max_points and err > tol:
+                raise ConvergenceError(
+                    f"sample_function: segment [{a:g}, {b:g}] stopped at {len(xs)} points "
+                    f"(max_points {max_points}) with spline error {err:.3g} > tol {tol:g}")
+        live = [i for i in live if errs[i] > tol]
+    knots = [cuts[:1]] + [xs[1:] for xs in grids]
+    coefs = [_cubic(xs, v) for xs, v in zip(grids, vals)]
+    return _Spline(np.concatenate(knots), np.concatenate(coefs, axis=1)), max(errs)
+
+
+def _split(values, parts):
+    """``values`` cut into consecutive pieces as long as the arrays of ``parts``."""
+    return np.split(values, np.cumsum([len(p) for p in parts[:-1]]))
 
 
 def sampled_expr(fn, lo, hi, kinks=(), name="<sampled>", outside=None, decay=None):

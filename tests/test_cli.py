@@ -231,3 +231,27 @@ def test_cli_tolerances_reach_pair(monkeypatch):
                        "--abs-tol", "1e-12", "--rel-tol", "1e-11")
     assert code == 0
     assert seen == [QuadConfig.from_env(abs_tol=1e-12, rel_tol=1e-11)]
+
+
+@pytest.mark.parametrize("argv,norm_row", [
+    (("conv", "--p", "1", "--r", "1", "--F", "indicator(0,1)", "--g", "indicator(0,2)"), "norm_r"),
+    (("star", "--F", "indicator(0,1)", "--G", "indicator(-1,1)*(1-abs(x))"), "norm_1"),
+], ids=["conv", "star"])
+def test_cli_tolerances_reach_product_norm(monkeypatch, argv, norm_row):
+    # the product's own norm (the norm_r / norm_1 row) is taken with the
+    # requested tolerances, as the factors' norms are
+    import lprim.lpspace
+    from lprim.quadrature import QuadConfig
+
+    seen = []
+    norm = lprim.lpspace.lp_norm
+
+    def spy(F, p, cfg=None, *args):
+        seen.append(cfg)
+        return norm(F, p, cfg, *args)
+
+    monkeypatch.setattr(lprim.lpspace, "lp_norm", spy)
+    report, code = run(*argv, "--rel-tol", "1e-4")
+    assert code == 0 and norm_row in rows(report)
+    assert len(seen) >= 2  # the factors' norms and the product's
+    assert seen == [QuadConfig.from_env(rel_tol=1e-4)] * len(seen)

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+from lprim import convolution, quadrature
 from lprim.convolution import (
     approx_identity,
     conv_lq,
@@ -13,7 +15,7 @@ from lprim.errors import ExponentError, LprimError
 from lprim.expr import FunctionExpr
 from lprim.lpspace import Multiplier, PrimitiveDistribution
 from lprim.parser import parse_expr
-from lprim.quadrature import lp_norm
+from lprim.quadrature import DEFAULT_CONFIG, lp_norm
 
 
 def dist(src, p):
@@ -106,6 +108,53 @@ class TestYoungProduct:
         monkeypatch.setattr(FunctionExpr, "values", counted)
         conv_lq(f, g, 2.0)
         assert len(calls) <= 200
+
+    @pytest.mark.parametrize("g_src", ["exp(-abs(x))", "exp(-x^2)", "indicator(0,2)"])
+    @pytest.mark.parametrize("p,r", [(1.0, 2.0), (1.5, 3.0)])
+    def test_cauchy_tails_match_separate_norms(self, g_src, p, r):
+        # the four norms of g, taken as one family, against one lp_norm
+        # each of g and of the parsed g*(w_m - w_n) with g's decay
+        f = dist("indicator(0,1)", p)
+        g = parse_expr(g_src)
+        q = 1.0 / (1.0 + 1.0 / r - 1.0 / p)
+        res = conv_lq(f, g, r)
+        cfg = DEFAULT_CONFIG
+
+        def close(new, old):
+            new, old = new ** q, old ** q
+            assert abs(new - old) <= 2 * max(cfg.abs_tol, cfg.rel_tol * old)
+
+        close(res.diagnostics["young_bound"] / f.norm, lp_norm(g, q, cfg))
+        tails = res.diagnostics["cauchy_tail"]
+        assert [(n, m) for n, m, _ in tails] == [(2, 4), (4, 8), (8, 16)]
+        for n, m, tail in tails:
+            wn = parse_expr(f"1/(1+exp(-{n}*({n}-abs(x))))")
+            wm = parse_expr(f"1/(1+exp(-{m}*({m}-abs(x))))")
+            close(tail / f.norm, lp_norm(replace(g * (wm - wn), decay=g.decay), q, cfg))
+
+    def test_norms_of_g_share_one_scan_and_sampling_rounds(self, monkeypatch):
+        # one sign-change scan of g for its norm and the three tails, and
+        # one evaluator call per sampling round, all segments together
+        f = dist("indicator(-1,1)*(1-abs(x))", 1.5)
+        g = parse_expr("indicator(0,2)")
+        scanned, evaluations = [], []
+        scan, sample = quadrature.find_sign_changes, convolution.sample_function
+
+        def counting_scan(e, *args, **kwargs):
+            scanned.append(e)
+            return scan(e, *args, **kwargs)
+
+        def counting_sample(evaluate, *args, **kwargs):
+            def counted(xs):
+                evaluations.append(1)
+                return evaluate(xs)
+            return sample(counted, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "find_sign_changes", counting_scan)
+        monkeypatch.setattr(convolution, "sample_function", counting_sample)
+        conv_lq(f, g, 3.0)
+        assert sum(e is g for e in scanned) == 1
+        assert 1 <= len(evaluations) <= 2
 
 
 class TestStarProduct:

@@ -15,6 +15,7 @@ from lprim.quadrature import (
     XGK,
     ConvolutionValues,
     QuadConfig,
+    angle_integral,
     convolve,
     effective_radius,
     find_sign_changes,
@@ -313,3 +314,23 @@ class TestFamilies:
         conv = ConvolutionValues(F, g, None, "convolution")
         conv(xs)
         assert conv.max_err == float(convolve(F, g, xs).err_est.max())
+
+    @pytest.mark.parametrize("family", ["convolve", "angle_integral"])
+    def test_owner_value_does_not_depend_on_its_batch(self, family):
+        # sample_function evaluates all its segments' points in one family
+        # call; its splines equal the segment-by-segment ones only if each
+        # owner's value and err_est are the same in every batch, bit for bit
+        xs = np.linspace(-3.0, 4.0, 40)
+        if family == "convolve":
+            F, g = parse_expr("indicator(0,1)"), parse_expr("exp(-x^2)")
+            run = lambda x: convolve(F, g, x)  # noqa: E731
+        else:
+            F = parse_expr("sing(abs(x)^(-0.5), 0)*exp(-abs(x))")
+            run = lambda x: angle_integral(  # noqa: E731
+                F, lambda th, y: np.cos(th) / math.pi, x, 0.5)
+        full = run(xs)
+        for size in range(1, xs.size + 1):
+            for start in {0, xs.size - size, (13 * size) % (xs.size + 1 - size)}:
+                part = run(xs[start:start + size])
+                np.testing.assert_array_equal(part.value, full.value[start:start + size])
+                np.testing.assert_array_equal(part.err_est, full.err_est[start:start + size])
