@@ -255,7 +255,7 @@ def _run(args, cfg):
             rows.append(("pair", pair_delta_train(Fd, Multiplier(g, q, cfg=cfg)), 0.0))
         elif args.n > 1:
             F = Fd.F if isinstance(Fd, PrimitiveDistribution) else Fd
-            f = NthDistribution(F, args.p, args.n)
+            f = NthDistribution(F, args.p, args.n, cfg=cfg)
             rows.append(("pair", pair_n(f, IteratedMultiplier(g, q, args.n, cfg=cfg), cfg), 0.0))
         else:
             F = Fd.F if isinstance(Fd, PrimitiveDistribution) else Fd
@@ -309,7 +309,7 @@ def _run(args, cfg):
     elif cmd == "poisson":
         F = _expr_arg(args.F)
         pt = HalfPlanePoint(args.x, args.y)
-        f = NthDistribution(F, 2.0, args.n) if args.n >= 1 else F
+        f = NthDistribution(F, 2.0, args.n, cfg=cfg) if args.n >= 1 else F
         u = extension_result(f, pt, cfg)
         rows.append((f"u({args.x:g},{args.y:g})", u.value, u.err_est))
     elif cmd == "poisson-converge":

@@ -726,9 +726,10 @@ def _decay(node, kids):
         if isinstance(node.b, Const):
             return kids[0].decay
         gb = growth(node.b)
-        if 0.0 < gb < math.inf and growth(node.a) == 0.0:
-            # bounded numerator over a polynomially growing denominator
-            return decay_mul(kids[0].decay, ("power", gb), 0.0, 0.0)
+        if 0.0 < gb < math.inf:
+            # a polynomially growing denominator: the numerator times a
+            # |x|^(-gb) factor (a fast-decaying numerator keeps its tag)
+            return decay_mul(kids[0].decay, ("power", gb), growth(node.a), 0.0)
         return ("none",)
     if isinstance(node, Pow):
         d = kids[0].decay

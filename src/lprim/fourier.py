@@ -38,7 +38,7 @@ from .errors import ConvergenceError, ExponentError, IntegrabilityError, LprimEr
 from .expr import Wrapped, var_expr
 from .lpspace import translate
 from .parser import parse_expr
-from .quadrature import DEFAULT_CONFIG, FourierSampling, integrate_line, lp_norm
+from .quadrature import DEFAULT_CONFIG, FourierSampling, integrate_line
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,8 @@ def fourier_primitive(F, s, cfg=None):
 
 
 def fourier(f, s, cfg=None):
-    """f^(s) = is F^(s) for f in L'^1."""
+    """f^(s) = is F^(s) for f in L'^1.  It does not read f's norm; the
+    value raises ConvergenceError when its integral does not converge."""
     if f.p != 1.0:
         raise ExponentError("fourier needs a distribution in L'^1")
     s = float(s)
@@ -209,7 +210,7 @@ def exchange_identity(f, g, cfg=None):
     if f.p != 1.0:
         raise ExponentError("exchange_identity needs f in L'^1")
     _check_weighted_l1(g, cfg)
-    lp_norm(f.F, 1.0, cfg)  # hypothesis: F in L^1
+    f.norm  # hypothesis: F in L^1, integrated at most once per distribution
 
     F = f.F
 

@@ -10,7 +10,7 @@ G_k(x) = ∫_0^x (x−t)^{k−1} g(t) dt / (k−1)!) and order/exponent checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -22,23 +22,33 @@ from .parser import parse_expr
 from .quadrature import DEFAULT_CONFIG, integrate, integrate_line, lp_norm
 
 
-@dataclass(frozen=True)
 class NthDistribution:
-    """f = D^n F with F in L^p; the norm is ||F||_p.  ``_fourier`` holds
-    the samplings behind f's Fourier values once one is asked for
-    (fourier.transform_of)."""
+    """f = D^n F with F in L^p; the norm is ||F||_p, integrated with ``cfg``
+    when ``norm`` is first read and kept on the object (a ``norm`` passed
+    in is taken as given).  Building f checks the order only; the first
+    norm read certifies F in L^p.  pair_n and extension_n use F alone and
+    never read the norm.  ``_fourier`` holds the samplings behind f's Fourier
+    values once one is asked for (fourier.transform_of)."""
 
-    F: FunctionExpr
-    p: float
-    order: int
-    norm: float = None
-    _fourier: object = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("F", "p", "order", "_norm", "_cfg", "_fourier")
+
+    def __init__(self, F, p, order, norm=None, *, cfg=DEFAULT_CONFIG):
+        self.F, self.p, self.order = F, p, order
+        self._norm = norm
+        self._cfg = cfg
+        self.__post_init__()
 
     def __post_init__(self):
+        # the constructor's checks, under the name lprimbench/tracer.py spans
         if self.order < 1:
             raise ExponentError("order must be >= 1")
-        if self.norm is None:
-            object.__setattr__(self, "norm", lp_norm(self.F, self.p))
+
+    @property
+    def norm(self):
+        """||F||_p, integrated on the first read."""
+        if self._norm is None:
+            self._norm = lp_norm(self.F, self.p, self._cfg)
+        return self._norm
 
 
 class IteratedMultiplier(Multiplier):

@@ -56,18 +56,33 @@ def _config_for(cfg, osc=None):
 
 
 class PrimitiveDistribution:
-    """f = F' with F in L^p; the norm is computed at construction.  The
+    """f = F' with F in L^p.  The norm ||f||'_p = ||F||_p is integrated when
+    ``norm`` is first read and kept on the object; a norm passed in is
+    taken as given.  Building f therefore does not certify F in L^p: the
+    first norm read does, and raises when the integral does not converge.
+    pair, fourier and extension_n use F alone and never read the norm.  The
     slot ``_fourier`` holds the samplings behind f's Fourier values once
     one is asked for (fourier.transform_of)."""
 
-    __slots__ = ("F", "p", "norm", "osc_wavelength", "_fourier")
+    __slots__ = ("F", "p", "osc_wavelength", "_norm", "_cfg", "_fourier")
 
     def __init__(self, F, p, cfg=None, osc_wavelength=None, _norm=None):
         self.p = _check_p(p)
         self.F = F
         self.osc_wavelength = osc_wavelength
-        cfg = _config_for(cfg, osc_wavelength)
-        self.norm = lp_norm(F, self.p, cfg) if _norm is None else float(_norm)
+        self._cfg = _config_for(cfg, osc_wavelength)
+        # None, a number, or a zero-argument callable: a derived distribution
+        # reads its parent's norm through it only when its own is read
+        self._norm = _norm
+
+    @property
+    def norm(self):
+        """||f||'_p = ||F||_p, integrated on the first read."""
+        if self._norm is None:
+            self._norm = lp_norm(self.F, self.p, self._cfg)
+        elif callable(self._norm):
+            self._norm = self._norm()
+        return self._norm
 
     # -- linear structure (isometric to L^p on primitives) -------------------
 
@@ -94,7 +109,7 @@ class PrimitiveDistribution:
         a = float(a)
         return PrimitiveDistribution(
             self.F * a, self.p, osc_wavelength=self.osc_wavelength,
-            _norm=abs(a) * self.norm,
+            _norm=lambda: abs(a) * self.norm,
         )
 
     __rmul__ = __mul__
@@ -149,7 +164,8 @@ class Multiplier:
 
 
 def pair(f, G, cfg=None):
-    """The integral of fG = -integral of F(x) g(x) dx."""
+    """The integral of fG = -integral of F(x) g(x) dx.  It does not read
+    f's norm: the line integral of F g is its own check."""
     if not isinstance(f, PrimitiveDistribution):
         raise LprimError("pair expects a PrimitiveDistribution")
     q = conjugate(f.p)
@@ -180,12 +196,13 @@ def dual_norm(f, cfg=None):
 
 def translate(f, t):
     """tau_t f, the distribution with primitive tau_t F; translation keeps
-    the norm."""
+    the norm, which tau_t f reads from f when its own is first read."""
     t = float(t)
     if t == 0.0:
         return f
     return PrimitiveDistribution(
-        f.F.affine(1.0, -t), f.p, osc_wavelength=f.osc_wavelength, _norm=f.norm
+        f.F.affine(1.0, -t), f.p, osc_wavelength=f.osc_wavelength,
+        _norm=lambda: f.norm,
     )
 
 
@@ -203,7 +220,8 @@ def meet(f, g):
 
 
 def abs_distribution(f):
-    return PrimitiveDistribution(abs(f.F), f.p, _norm=f.norm)
+    """|f|, with primitive |F| and f's norm (read from f on demand)."""
+    return PrimitiveDistribution(abs(f.F), f.p, _norm=lambda: f.norm)
 
 
 def leq(f, g, tol=1e-9):

@@ -121,7 +121,8 @@ def _order(f):
 
 def extension_result(f, pt, cfg=None):
     """u_y(x) for f = D^n F (or for F itself) as a QuadResult: the value
-    with its error estimate; an unconverged integral raises."""
+    with its error estimate; an unconverged integral raises.  It uses F
+    alone and does not read f's norm."""
     F, n = _order(f)
     U = _extension_values(F, pt.y, n, cfg or DEFAULT_CONFIG)
     value = U.at(pt.x)

@@ -93,6 +93,21 @@ class TestExitCodes:
         _, code = run("norm", "--p", "0.5", "--f", "indicator(0,1)")
         assert code == 1
 
+    def test_norm_outside_lp_is_error(self):
+        # the distribution builds without its norm; the norm row raises
+        report, code = run("norm", "--p", "1", "--f", "1+0*x")
+        assert code == 1
+        assert "ConvergenceError" in rows(report)["error"]
+
+    @pytest.mark.parametrize("p, src, want", [
+        ("1", "exp(-x^2)/(x^2+1)", math.pi * math.e * math.erfc(1.0)),
+        ("2", "x/(x^2+1)", math.sqrt(math.pi / 2)),
+    ], ids=["gauss-over-quadratic", "x-over-quadratic"])
+    def test_norm_of_quotient(self, p, src, want):
+        report, code = run("norm", "--p", p, "--f", src)
+        assert code == 0
+        assert rows(report)["norm"] == pytest.approx(want, abs=1e-9)
+
     def test_verify_suite_passes(self):
         report, code = run("verify", "--suite", "star-algebra")
         assert code == 0
@@ -255,3 +270,27 @@ def test_cli_tolerances_reach_product_norm(monkeypatch, argv, norm_row):
     assert code == 0 and norm_row in rows(report)
     assert len(seen) >= 2  # the factors' norms and the product's
     assert seen == [QuadConfig.from_env(rel_tol=1e-4)] * len(seen)
+
+
+@pytest.mark.parametrize("argv", [
+    ("pair", "--p", "2", "--n", "2", "--F", "exp(-x^2)", "--g", "exp(-x^2)"),
+    ("poisson", "--F", "exp(-x^2)", "--x", "0.3", "--y", "0.5", "--n", "2"),
+], ids=["pair-n", "poisson"])
+def test_cli_tolerances_reach_nth_norm(monkeypatch, norm_calls, argv):
+    # an NthDistribution built by the CLI takes its norm with the requested
+    # tolerances (neither subcommand reads it, so the test reads it)
+    import lprim.cli
+    from lprim.quadrature import QuadConfig
+
+    built = []
+    cls = lprim.cli.NthDistribution
+
+    def keep(*args, **kwargs):
+        built.append(cls(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(lprim.cli, "NthDistribution", keep)
+    _, code = run(*argv, "--rel-tol", "1e-4")
+    assert code == 0 and len(built) == 1 and norm_calls == []
+    built[0].norm
+    assert norm_calls == [QuadConfig.from_env(rel_tol=1e-4)]

@@ -243,12 +243,14 @@ METADATA_TABLE = [
      (0.0,), (), None, ('power', 1.0)),
     ('parse:1/(x-1)', lambda: P('1/(x-1)'),
      (1.0,), (), None, ('power', 1.0)),
+    # a gaussian numerator keeps its tag over a growing denominator
     ('parse:gauss/(x^2+1)', lambda: P('exp(-x^2)/(x^2+1)'),
-     (), (), None, ('none',)),
+     (), (), None, ('gaussian',)),
     ('parse:1/(x^2+1)', lambda: P('1/(x^2+1)'),
      (), (), None, ('power', 2.0)),
+    # growth 1 over growth 2: decays like |x|^(-1)
     ('parse:x/(x^2+1)', lambda: P('x/(x^2+1)'),
-     (), (), None, ('none',)),
+     (), (), None, ('power', 1.0)),
     ('parse:box/x', lambda: P('indicator(1,2)/x'),
      (0.0,), (1.0, 2.0), None, ('compact',)),
     ('parse:(x+2)^(-1)', lambda: P('(x+2)^(-1)'),

@@ -357,6 +357,16 @@ class TestIdentities:
         exchange_identity(dist("exp(-x^2)", 1.0), parse_expr("exp(-x^2)"))
         assert seen[0] <= 250_000
 
+    def test_exchange_identity_reads_the_norm(self, norm_calls):
+        # the "F in L^1" hypothesis is f's own norm: one integral per
+        # distribution, none when the norm was read before
+        f = dist("exp(-x^2)", 1.0)
+        exchange_identity(f, parse_expr("exp(-x^2)"))
+        exchange_identity(f, parse_expr("exp(-(x-1)^2)"))
+        assert len(norm_calls) == 1
+        with pytest.raises(ConvergenceError):
+            exchange_identity(dist("1+0*x", 1.0), parse_expr("exp(-x^2)"))
+
     def test_exchange_rejects_heavy_weight(self):
         f = dist("exp(-x^2)", 1.0)
         with pytest.raises(IntegrabilityError):

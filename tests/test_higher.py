@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lprim.errors import ExponentError
+from lprim.errors import ConvergenceError, ExponentError
 from lprim.higher import (
     IteratedMultiplier,
     NthDistribution,
@@ -13,6 +13,7 @@ from lprim.higher import (
     pair_polynomial,
 )
 from lprim.parser import parse_expr
+from lprim.quadrature import DEFAULT_CONFIG, QuadConfig
 
 
 class TestIteratedMultiplier:
@@ -127,3 +128,30 @@ def _int_line(e):
 
 def _NthMult(g, q, order):
     return IteratedMultiplier(g, q, order)
+
+
+class TestLazyNorm:
+    def test_norm_integrated_on_first_read_only(self, norm_calls):
+        f = NthDistribution(parse_expr("exp(-x^2)"), 2.0, 3)
+        assert norm_calls == []
+        first = f.norm
+        assert f.norm == first == pytest.approx((math.pi / 2) ** 0.25, abs=1e-10)
+        assert norm_calls == [DEFAULT_CONFIG]
+
+    def test_norm_uses_the_given_configuration(self, norm_calls):
+        cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7)
+        f = NthDistribution(parse_expr("indicator(0,1)"), 2.0, 1, cfg=cfg)
+        assert f.norm == pytest.approx(1.0, abs=1e-7)
+        assert norm_calls == [cfg]
+
+    def test_given_norm_taken_as_is(self, norm_calls):
+        assert NthDistribution(parse_expr("exp(-x^2)"), 2.0, 2, 1.5).norm == 1.5
+        assert NthDistribution(parse_expr("exp(-x^2)"), 2.0, 2, norm=1.0).norm == 1.0
+        assert norm_calls == []
+
+    def test_order_checked_and_membership_on_read(self):
+        with pytest.raises(ExponentError):
+            NthDistribution(parse_expr("exp(-x^2)"), 2.0, 0)
+        f = NthDistribution(parse_expr("1+0*x"), 1.0, 2)
+        with pytest.raises(ConvergenceError):
+            f.norm

@@ -26,7 +26,7 @@ from lprim.lpspace import (
     weak_vanishing_bound,
 )
 from lprim.parser import parse_expr
-from lprim.quadrature import integrate, lp_norm
+from lprim.quadrature import QuadConfig, integrate, lp_norm
 
 
 def dist(src, p, **kw):
@@ -249,3 +249,47 @@ class TestTranslationAndGateaux:
         profile = gateaux_profile(f, g, ts)
         for (t0, m0), (t1, m1) in zip(zip(ts, profile), zip(ts[1:], profile[1:])):
             assert abs(m1 - m0) <= g.norm * (t1 - t0) + 1e-9
+
+
+
+class TestLazyNorm:
+    def test_norm_integrated_on_first_read_only(self, norm_calls):
+        f = dist("exp(-x^2)", 2.0)
+        assert norm_calls == []
+        first = f.norm
+        assert f.norm == first == pytest.approx((math.pi / 2) ** 0.25, abs=1e-10)
+        assert len(norm_calls) == 1
+
+    def test_given_norm_taken_as_is(self, norm_calls):
+        assert dist("exp(-x^2)", 2.0, _norm=3.0).norm == 3.0
+        assert norm_calls == []
+
+    def test_configuration_kept_for_the_norm(self, norm_calls):
+        cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7)
+        dist("indicator(0,1)", 2.0, cfg=cfg).norm
+        assert norm_calls == [cfg]
+
+    def test_derived_norms_need_no_integral_of_their_own(self, norm_calls):
+        f = dist("exp(-x^2)*sin(x)", 1.5)
+        scaled, moved, folded = 2.5 * f, translate(f, 1.7), abs_distribution(f)
+        negated = -moved
+        assert norm_calls == []
+        assert scaled.norm == 2.5 * f.norm
+        assert moved.norm == f.norm
+        assert folded.norm == f.norm
+        assert negated.norm == f.norm
+        assert len(norm_calls) == 1
+
+    def test_derived_norm_read_first_forces_parent_once(self, norm_calls):
+        f = dist("exp(-x^2)", 2.0)
+        moved = translate(f, -3.0)
+        assert moved.norm == f.norm
+        assert len(norm_calls) == 1
+
+    def test_membership_checked_on_read(self):
+        # F = 1 is not in L^1: building f succeeds, reading its norm raises
+        f = dist("1+0*x", 1.0)
+        with pytest.raises(ConvergenceError):
+            f.norm
+        with pytest.raises(ConvergenceError):
+            (2.0 * f).norm
