@@ -20,8 +20,8 @@ from .errors import ExponentError, LprimError
 from .expr import decay_add
 from .lpspace import PrimitiveDistribution, conjugate, _config_for
 from .parser import parse_expr
-from .quadrature import (DEFAULT_CONFIG, ConvolutionValues, effective_radius, integrate_line,
-                         lp_norm, lp_norms)
+from .quadrature import (DEFAULT_CONFIG, ConvolutionValues, extent, integrate_line, lp_norm,
+                         lp_norms)
 from .sampling import sample_function, sampled_expr
 
 
@@ -48,12 +48,6 @@ class ConvolutionResult:
         return fn(float(x))
 
 
-def _radius(F):
-    if F.support is not None:
-        return max(abs(F.support[0]), abs(F.support[1]))
-    return effective_radius(F, minimum=10.0)
-
-
 def _conv_primitive(F, g, cfg, tol):
     """F * g as a FunctionExpr, plus its sampling error.
 
@@ -63,7 +57,7 @@ def _conv_primitive(F, g, cfg, tol):
     decay like the weaker of F and g.  The sampling error adds the largest
     error estimate of the sampled integrals to the spline's.
     """
-    rF, rg = _radius(F), _radius(g)
+    rF, rg = (max(map(abs, extent(e, 10.0))) for e in (F, g))
     compact = F.support is not None and g.support is not None
     if compact:
         lo = F.support[0] + g.support[0]

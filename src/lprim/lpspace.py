@@ -12,6 +12,7 @@ which every operation here reduces to quadrature on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,9 +25,11 @@ from .quadrature import (
     FamilyValues,
     antiderivative,
     effective_radius,
+    extent,
     integrate,
     integrate_line,
     lp_norm,
+    scan_grid,
     sup_norm,
 )
 
@@ -91,19 +94,18 @@ class PrimitiveDistribution:
             raise ExponentError("operands must share the exponent p")
         return other
 
-    def __add__(self, other):
+    def _derived(self, other, op):
+        """The distribution with primitive op(F, other's F), with self's
+        configuration and either one's oscillation wavelength."""
         o = self._same(other)
-        return PrimitiveDistribution(
-            self.F + o.F, self.p,
-            osc_wavelength=self.osc_wavelength or o.osc_wavelength,
-        )
+        return PrimitiveDistribution(op(self.F, o.F), self.p, self._cfg,
+                                     self.osc_wavelength or o.osc_wavelength)
+
+    def __add__(self, other):
+        return self._derived(other, operator.add)
 
     def __sub__(self, other):
-        o = self._same(other)
-        return PrimitiveDistribution(
-            self.F - o.F, self.p,
-            osc_wavelength=self.osc_wavelength or o.osc_wavelength,
-        )
+        return self._derived(other, operator.sub)
 
     def __mul__(self, a):
         a = float(a)
@@ -210,18 +212,17 @@ def translate(f, t):
 
 
 def join(f, g):
-    f._same(g)
-    return PrimitiveDistribution(maximum(f.F, g.F), f.p)
+    return f._derived(g, maximum)
 
 
 def meet(f, g):
-    f._same(g)
-    return PrimitiveDistribution(minimum(f.F, g.F), f.p)
+    return f._derived(g, minimum)
 
 
 def abs_distribution(f):
     """|f|, with primitive |F| and f's norm (read from f on demand)."""
-    return PrimitiveDistribution(abs(f.F), f.p, _norm=lambda: f.norm)
+    return PrimitiveDistribution(abs(f.F), f.p, f._cfg, f.osc_wavelength,
+                                 _norm=lambda: f.norm)
 
 
 def leq(f, g, tol=1e-9):
@@ -229,11 +230,7 @@ def leq(f, g, tol=1e-9):
     plus sign-change bisection (an a.e. statement is not finitely decidable)."""
     f._same(g)
     d = f.F - g.F
-    r = effective_radius(d, minimum=32.0)
-    lo, hi = (d.support if d.support is not None else (-r, r))
-    xs = np.linspace(lo, hi, 10_001)
-    for s in d.singularities:
-        xs[np.isclose(xs, s, rtol=0.0, atol=1e-300)] += (hi - lo) * 1e-9
+    xs = scan_grid(d, *extent(d, 32.0), 10_000)
     vals = d.values(xs)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     if vals.max() <= tol:
@@ -291,9 +288,6 @@ class DeltaTrain:
     def norm(self, p, cfg=None):
         return lp_norm(self.primitive(), _check_p(p), cfg)
 
-    def as_distribution(self, p):
-        return PrimitiveDistribution(self.primitive(), p)
-
 
 def pair_delta_train(s, G):
     """integral of sG = -sum a_n [G(y_n) - G(x_n)], with G at every
@@ -319,12 +313,7 @@ def step_approximate(f, n, cfg=None):
         raise LprimError("step_approximate needs n >= 1")
     cfg = _config_for(cfg, f.osc_wavelength)
     F = f.F
-    if F.support is not None:
-        lo, hi = F.support
-    else:
-        r = effective_radius(F, minimum=8.0)
-        # enlarge until the discarded tails are negligible for the error report
-        lo, hi = -r, r
+    lo, hi = extent(F)
     grid = np.linspace(lo, hi, 4096)
     dens = np.abs(F.values(grid))
     dens = np.where(np.isfinite(dens), dens, 0.0)
@@ -460,9 +449,7 @@ def weak_vanishing_bound(f, G, M, N, eps, cfg=None, samples=20_001):
     if eps <= 0:
         raise LprimError("eps must be positive")
     cfg = _config_for(cfg, f.osc_wavelength)
-    xs = np.linspace(M, N, samples)
-    for s in f.F.singularities:
-        xs[np.isclose(xs, s, rtol=0.0, atol=1e-300)] += (N - M) * 1e-9
+    xs = scan_grid(f.F, M, N, samples - 1)
     FG = f.F.values(xs) * G.G_values(xs)
     FG = np.where(np.isfinite(FG), FG, 0.0)
     ratio = float(np.mean(np.abs(FG) > eps))

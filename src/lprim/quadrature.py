@@ -10,9 +10,12 @@ whose tails are certified through the integrand's decay class.
 One engine serves every integral: a family of integrals (a convolution
 sampled at many x, say) shares one panel pool, each integral keeping its
 own split points and stopping rule, and a single integral is the family
-with one owner.  Convolutions of F with the Poisson kernel and its
-x-derivatives map the line onto a finite angle interval first
-(``angle_integral``), so they need no tails.
+with one owner.  One builder (``_family``) gives every family its split
+points, supports and truncation radii from the metadata of its factors:
+f(y), the same for every owner, or K(x_i - y), moved for owner i.
+Convolutions of F with the Poisson kernel and its x-derivatives map the
+line onto a finite angle interval first (``angle_integral``), so they
+need no tails.
 
 Fourier integrals, the integral of f(x) e^{-isx} dx at many s, take a
 Filon-Legendre rule instead (``FourierSampling``): f is sampled once on
@@ -201,21 +204,65 @@ def _centre_cuts(f, centred=False):
     return tuple(c + s for c in centres for s in _CENTRE_STEPS)
 
 
+def _rows(points, n, xs=None):
+    """(n, len(points)) rows of points: ``points`` in every row, or x_i - p
+    in row i for an array ``xs``."""
+    pts = np.array(points, dtype=float)
+    return pts[None].repeat(n, axis=0) if xs is None else xs[:, None] - pts
+
+
+def _join(rows):
+    """The row arrays side by side."""
+    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
+
+
+def _family(fn, n, factors, extra=(), line=False, decay=None):
+    """The family of n owners integrating fn(i, y), with the metadata of a
+    product of the ``factors``: pairs (f, xs) of a FunctionExpr f and
+    either None, for the factor f(y) of every owner, or an array xs, for
+    the factor f(x_i - y) of owner i.
+
+    Owner i splits at its factors' singular points, kinks and decay centre
+    cuts, where its factor places them, and at ``extra``: one sequence for
+    every owner, or an (n, m) array padded with nan.  On the line
+    (``line``), its support is the intersection of its factors' supports,
+    and its radius is effective_radius's over its factors' feature points
+    and decay centres.  ``decay`` is the integrand's decay class, the
+    first factor's by default."""
+    per_owner = isinstance(extra, np.ndarray) and extra.ndim == 2
+    sing, far = (), ()  # of the factors f(y)
+    cuts = () if per_owner else tuple(extra)
+    moved = []  # (xs, singular points, other cuts, far points) of the factors f(x_i - y)
+    radius = support = None
+    for f, xs in factors:
+        s, c = tuple(f.singularities), tuple(f.kinks) + _centre_cuts(f)
+        p = f.feature_points() + decay_centres(f.decay) if line else ()
+        if xs is None:
+            sing, cuts, far = sing + s, cuts + c, far + p
+        else:
+            moved.append((xs, s, c, p))
+        if line and f.support is not None:
+            a, b = f.support if xs is None else (xs - f.support[1], xs - f.support[0])
+            support = (a, b) if support is None else (np.maximum(support[0], a),
+                                                      np.minimum(support[1], b))
+    # the singular points lead: those of the factors f(x_i - y), then f(y)'s
+    cut_rows = _join([_rows(s, n, xs) for xs, s, _, _ in moved] + [_rows(sing + cuts, n)]
+                     + [_rows(c, n, xs) for xs, _, c, _ in moved] + [extra] * per_owner)
+    leading = len(sing) + sum(len(s) for _, s, _, _ in moved)
+    if line:
+        radius = np.full(n, max(8.0, 1.5 * max(map(abs, far), default=-math.inf) + 4.0))
+        if moved:
+            shifted = np.abs(_join([_rows(p, n, xs) for xs, _, _, p in moved]))
+            radius = np.maximum(radius, 1.5 * shifted.max(axis=1, initial=-math.inf) + 4.0)
+        if support is not None:  # an empty one, hi < lo, _integrate_line clips
+            support = (np.full(n, support[0]), np.full(n, support[1]))
+    return _Family(fn, cut_rows[:, :leading], cut_rows, radius, support,
+                   factors[0][0].decay if decay is None else decay)
+
+
 def _single(f, extra_splits=(), line=False):
-    """The one-owner family of the FunctionExpr ``f``; the radius and
-    support are only needed on the line."""
-    sing = tuple(f.singularities)
-    support = None
-    if line and f.support is not None:
-        support = (np.array([f.support[0]]), np.array([f.support[1]]))
-    return _Family(
-        lambda owner, ys: f.values(ys),
-        np.array([sing], dtype=float),
-        np.array([sing + tuple(f.kinks) + _centre_cuts(f) + tuple(extra_splits)], dtype=float),
-        np.array([effective_radius(f)]) if line else None,
-        support,
-        f.decay,
-    )
+    """The one-owner family of the FunctionExpr ``f``."""
+    return _family(lambda owner, ys: f.values(ys), 1, ((f, None),), extra_splits, line)
 
 
 def _in_chunks(fn, per_row, *rows):
@@ -671,6 +718,15 @@ def effective_radius(f, minimum=8.0):
     return max(minimum, 1.5 * max(far) + 4.0) if far else minimum
 
 
+def extent(f, minimum=8.0):
+    """The interval that holds f's mass: its support, or [-r, r] with r
+    its effective_radius."""
+    if f.support is not None:
+        return f.support
+    r = effective_radius(f, minimum)
+    return -r, r
+
+
 def integrate_line(f, cfg=None, extra_splits=()):
     """Integrate ``f`` over the whole real line.
 
@@ -681,47 +737,15 @@ def integrate_line(f, cfg=None, extra_splits=()):
     return _integrate_line(_single(f, extra_splits, line=True), cfg or DEFAULT_CONFIG)[0]
 
 
-def _shifted(points, xs):
-    """Row i holds x_i - p for every p in ``points``."""
-    return xs[:, None] - np.asarray(points, dtype=float)[None, :]
-
-
-def _fixed(points, n):
-    """n equal rows holding ``points``."""
-    return np.broadcast_to(np.asarray(points, dtype=float)[None, :], (n, len(points)))
-
-
 def convolve(K, g, xs, cfg=None):
     """(K * g)(x) = integral of K(x - y) g(y) dy for every x in ``xs``,
-    as one integral family.  Each owner's split points and support are
-    K's singularities, kinks, decay centre cuts and support shifted by its
-    x, with g's."""
-    cfg = cfg or DEFAULT_CONFIG
+    as one integral family, whose owner for x has the factors K(x - y)
+    and g(y)."""
     xs = np.asarray(xs, dtype=float).ravel()
-    n = xs.size
-    sing = np.concatenate([_shifted(K.singularities, xs), _fixed(g.singularities, n)], axis=1)
-    cuts = np.concatenate([sing, _shifted(tuple(K.kinks) + _centre_cuts(K), xs),
-                           _fixed(tuple(g.kinks) + _centre_cuts(g), n)], axis=1)
-    support = None
-    if K.support is not None:
-        support = (xs - K.support[1], xs - K.support[0])
-        if g.support is not None:
-            lo = np.maximum(support[0], g.support[0])
-            support = (lo, np.maximum(np.minimum(support[1], g.support[1]), lo))
-    elif g.support is not None:
-        support = (np.full(n, float(g.support[0])), np.full(n, float(g.support[1])))
-    # each owner's effective_radius
-    feats = np.concatenate([cuts] + ([] if support is None else
-                                     [support[0][:, None], support[1][:, None]]), axis=1)
-    radius = np.full(n, 8.0)
-    if feats.shape[1]:
-        radius = np.maximum(radius, 1.5 * np.max(np.abs(feats), axis=1) + 4.0)
-    fam = _Family(
-        lambda owner, ys: K.values(xs[owner] - ys) * g.values(ys),
-        sing, cuts, radius, support,
-        decay_mul(K.decay, g.decay, growth(K.root), growth(g.root)),
-    )
-    return _integrate_line(fam, cfg)
+    fam = _family(lambda owner, ys: K.values(xs[owner] - ys) * g.values(ys), xs.size,
+                  ((K, xs), (g, None)), line=True,
+                  decay=decay_mul(K.decay, g.decay, growth(K.root), growth(g.root)))
+    return _integrate_line(fam, cfg or DEFAULT_CONFIG)
 
 
 def angle_integral(F, weight, xs, ys, cfg=None):
@@ -755,7 +779,7 @@ def angle_integral(F, weight, xs, ys, cfg=None):
         y = ys[owner]
         return weight(th, y) * F.values(xs[owner] - y * np.tan(th))
 
-    fam = _Family(fn, np.zeros((n, 0)), np.arctan(_shifted(cuts, xs) / ys[:, None]),
+    fam = _Family(fn, np.zeros((n, 0)), np.arctan(_rows(cuts, n, xs) / ys[:, None]),
                   None, None, F.decay)
     # the line less the neighbourhoods of the singular points: intervals
     # [lo_t, hi_t] in t, one row per owner
@@ -793,17 +817,15 @@ def antiderivative(g, xs, k, cfg=None):
     vanishes at 0 with its lower iterates (Cauchy's formula).  Owner i
     integrates over [min(0, x_i), max(0, x_i)] and is negated for x_i < 0;
     every owner splits at g's singular points, kinks and centre cuts."""
-    cfg = cfg or DEFAULT_CONFIG
     xs = np.asarray(xs, dtype=float).ravel()
-    n = xs.size
-    one = _single(g)
     scale = 1.0 / math.factorial(k - 1)
 
     def fn(owner, ts):
-        return one.fn(owner, ts) * ((xs[owner] - ts) ** (k - 1) * scale)
+        return g.values(ts) * ((xs[owner] - ts) ** (k - 1) * scale)
 
-    fam = _Family(fn, _fixed(one.sing[0], n), _fixed(one.cuts[0], n), None, None, g.decay)
-    res = _integrate(fam, np.arange(n), np.minimum(xs, 0.0), np.maximum(xs, 0.0), cfg)
+    fam = _family(fn, xs.size, ((g, None),))
+    res = _integrate(fam, np.arange(xs.size), np.minimum(xs, 0.0), np.maximum(xs, 0.0),
+                     cfg or DEFAULT_CONFIG)
     return FamilyResult(np.where(xs < 0, -res.value, res.value), res.err_est, res.converged)
 
 
@@ -1105,12 +1127,11 @@ class FourierSampling:
             wide = pts[1:] > pts[:-1]
             return pts[:-1][wide], pts[1:][wide]
 
+        lo, r = extent(f)  # without a support, the core is [-r, r]
         if f.support is not None:
-            lo = max(f.support[0], -cfg.truncation_radius)
-            a, b = pieces(lo, max(min(f.support[1], cfg.truncation_radius), lo))
-        else:
-            r = effective_radius(f)
-            a, b = pieces(-r, r)
+            lo = max(lo, -cfg.truncation_radius)
+            r = max(min(r, cfg.truncation_radius), lo)
+        a, b = pieces(lo, r)
         sing = np.array(f.singularities, dtype=float)
         graded = np.isin(a, sing) | np.isin(b, sing)
         (lo, hi, coef, _), _, err, ok, _ = self._sample(a[~graded], b[~graded])
@@ -1217,6 +1238,15 @@ def _scan_size(a, b, cfg, n):
     return min(n, 2_000_000)
 
 
+def scan_grid(f, a, b, n):
+    """n + 1 equally spaced points from a to b, those that fall on a
+    declared singular point of f nudged off it."""
+    xs = np.linspace(a, b, n + 1)
+    for s in f.singularities:
+        xs[np.isclose(xs, s, rtol=0.0, atol=1e-300)] += (b - a) * 1e-9
+    return xs
+
+
 def find_sign_changes(f, a, b, n=2048):
     """Zeros of f in (a, b) located by grid scan plus bisection.
 
@@ -1224,11 +1254,7 @@ def find_sign_changes(f, a, b, n=2048):
     the brackets still live.  A bracket takes at most 60 steps; it stops
     at a non-finite midpoint and collapses onto a midpoint where f is
     exactly zero."""
-    xs = np.linspace(a, b, n + 1)
-    # nudge grid points off declared singular points
-    for s in f.singularities:
-        hit = np.isclose(xs, s, rtol=0.0, atol=1e-300)
-        xs[hit] += (b - a) * 1e-9
+    xs = scan_grid(f, a, b, n)
     vals = f.values(xs)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     sgn = np.sign(vals)
@@ -1274,27 +1300,20 @@ def lp_norms(f, p, cfg=None, cuts=((),), weight=None):
     if not 1.0 <= p < math.inf:
         raise LprimError(f"exponent p={p} outside [1, oo)")
     integrand = abs(f) if p == 1.0 else abs(f).power(p)
-    if f.support is not None:
-        a, b = f.support
-    else:
-        r = effective_radius(f)
-        a, b = -r, r
+    a, b = extent(f)
     zeros = find_sign_changes(f, a, b, _scan_size(a, b, cfg, 2048))
-    one = _single(integrand, zeros, line=True)
     n = len(cuts)
-    extra = np.full((n, max(map(len, cuts))), np.nan)  # nan pads: never inside a piece
+    # nan pads: never inside a piece
+    extra = np.full((n, len(zeros) + max(map(len, cuts))), np.nan)
+    extra[:, :len(zeros)] = zeros
     for i, c in enumerate(cuts):
-        extra[i, :len(c)] = c
-    fn = one.fn
-    if weight is not None:
-        def fn(owner, ys):
-            return integrand.values(ys) * np.abs(weight(owner, ys)) ** p
-    every = np.zeros(n, dtype=int)  # every owner takes the one-owner metadata
-    res = _integrate_line(_Family(
-        fn, one.sing[every], np.concatenate([one.cuts[every], extra], axis=1),
-        one.radius[every], None if one.support is None else (one.support[0][every],
-                                                             one.support[1][every]),
-        one.decay), cfg)
+        extra[i, len(zeros):len(zeros) + len(c)] = c
+
+    def fn(owner, ys):
+        vals = integrand.values(ys)
+        return vals if weight is None else vals * np.abs(weight(owner, ys)) ** p
+
+    res = _integrate_line(_family(fn, n, ((integrand, None),), extra, line=True), cfg)
     out = []
     for r in map(res.__getitem__, range(n)):
         if not r.converged and r.err_est > 10 * max(cfg.abs_tol, cfg.rel_tol * abs(r.value)):
@@ -1313,13 +1332,7 @@ def sup_norm(f, cfg=None):
     cfg = cfg or DEFAULT_CONFIG
     if f.singularities:
         raise ConvergenceError("sup_norm: declared singular points may be unbounded")
-    if f.support is not None:
-        a, b = f.support
-    else:
-        r = effective_radius(f, minimum=16.0)
-        if f.decay[0] == "none":
-            r = max(r, 64.0)
-        a, b = -r, r
+    a, b = extent(f, 64.0 if f.decay[0] == "none" else 16.0)
     n = _scan_size(a, b, cfg, 4096)
     xs = np.linspace(a, b, n + 1)
     vals = np.abs(f.values(xs))

@@ -265,9 +265,20 @@ class TestLazyNorm:
         assert norm_calls == []
 
     def test_configuration_kept_for_the_norm(self, norm_calls):
+        # f + g, f - g, join(f, g) and meet(f, g) integrate with f's configuration
         cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-7)
-        dist("indicator(0,1)", 2.0, cfg=cfg).norm
-        assert norm_calls == [cfg]
+        f, g = dist("indicator(0,1)", 2.0, cfg=cfg), dist("indicator(0,2)*x", 2.0)
+        for h in (f, f + g, f - g, join(f, g), meet(f, g)):
+            norm_calls.clear()
+            h.norm
+            assert norm_calls == [cfg]
+
+    def test_oscillation_wavelength_kept(self):
+        f = dist("exp(-x^2)", 2.0)
+        g = dist("exp(-x^2)*sin(x)", 2.0, osc_wavelength=2 * math.pi)
+        for h in (f + g, g - f, join(f, g), meet(g, f), abs_distribution(g)):
+            assert h.osc_wavelength == 2 * math.pi
+            assert h._cfg.osc_wavelength == 2 * math.pi
 
     def test_derived_norms_need_no_integral_of_their_own(self, norm_calls):
         f = dist("exp(-x^2)*sin(x)", 1.5)

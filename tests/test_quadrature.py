@@ -315,6 +315,24 @@ class TestFamilies:
         conv(xs)
         assert conv.max_err == float(convolve(F, g, xs).err_est.max())
 
+    @pytest.mark.parametrize("m", corpus_members(), ids=lambda m: m.name)
+    def test_one_factor_line_family(self, m):
+        fam = quadrature._family(None, 1, ((m.expr, None),), line=True)
+        assert fam.radius.tolist() == [effective_radius(m.expr)]
+        support = None if fam.support is None else (fam.support[0][0], fam.support[1][0])
+        assert support == m.expr.support
+
+    @pytest.mark.parametrize("m", corpus_members(), ids=lambda m: m.name)
+    def test_shifted_factor_family(self, m):
+        # the factor (K, xs) gives owner i the metadata of y -> K(x_i - y)
+        xs = np.array([-2.5, 0.0, 0.75, 40.0])
+        fam = quadrature._family(None, xs.size, ((m.expr, xs),), line=True)
+        for i, x in enumerate(xs):
+            K = m.expr.affine(-1.0, x)
+            assert sorted(fam.sing[i]) == list(K.singularities)
+            support = None if fam.support is None else (fam.support[0][i], fam.support[1][i])
+            assert support == K.support
+
     @pytest.mark.parametrize("family", ["convolve", "angle_integral"])
     def test_owner_value_does_not_depend_on_its_batch(self, family):
         # sample_function evaluates all its segments' points in one family
