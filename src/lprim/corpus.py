@@ -171,12 +171,14 @@ def cantor_primitive(level=52):
     """e^(-x^2) sigma(x), sigma the Cantor function (0 left of 0, 1 right of 1).
 
     ``level`` truncates the self-similar construction; the default resolves
-    sigma to machine precision.
+    sigma to machine precision.  sigma carries the self-similarity hook, so
+    |F|^p, F g and any sigma^r h, h smooth, take the self-similar rule on [0, 1].
     """
     if level < 1:
         raise LprimError("cantor_primitive needs level >= 1")
     sigma = FunctionExpr.from_node(
-        Wrapped(lambda xs: _cantor_values(xs, level), name="cantor", growth_hint=0.0)
+        Wrapped(lambda xs: _cantor_values(xs, level), name="cantor", growth_hint=0.0,
+                cantor_level=level)
     )
     gauss = parse_expr("exp(-x^2)")
     f = gauss * sigma

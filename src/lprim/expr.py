@@ -385,12 +385,16 @@ class Piecewise(Node):
 
 class Wrapped(Node):
     """Opaque vectorized callable (quadrature-backed primitives, Cantor
-    iterates, ...)."""
+    iterates, ...).  With the hook ``cantor_level``, ``fn`` is the Cantor
+    function sigma, with kinks at 0 and 1: on [0, 1], sigma(x/3) = sigma(x)/2
+    and sigma((x + 2)/3) = (1 + sigma(x))/2, and a cell of depth
+    ``cantor_level`` is constant at its midpoint value."""
 
-    def __init__(self, fn, name="<numeric>", growth_hint=math.inf):
+    def __init__(self, fn, name="<numeric>", growth_hint=math.inf, cantor_level=None):
         self.fn = fn
         self.name = name
         self.growth_hint = growth_hint
+        self.cantor_level = cantor_level
 
     def _ev(self, x, m):
         if np.ndim(x):
@@ -398,6 +402,7 @@ class Wrapped(Node):
         return np.float64(self.fn(np.asarray([x], dtype=float))[0])
 
     def _subst(self, s, a, b):
+        # the copy drops the hook: its self-similar cells are no longer [0, 1]'s
         base = self.fn
         return Wrapped(lambda xs: base(a * xs + b), name=f"{self.name}@affine",
                        growth_hint=self.growth_hint)
@@ -667,6 +672,8 @@ def _own_points(node):
             (sing if node.expo < 0 else kinks).add(z)
     elif isinstance(node, Indicator):
         kinks.update((node.a, node.b))
+    elif isinstance(node, Wrapped) and node.cantor_level:
+        kinks.update((0.0, 1.0))
     elif isinstance(node, Piecewise):
         for c, _ in node.branches:
             if isinstance(c.lhs, Var) and isinstance(c.rhs, Const):
@@ -746,6 +753,29 @@ def _decay(node, kids):
     return ("none",)
 
 
+_SMOOTH = (0.0, None)  # the ``similar`` of a function without a Cantor node
+
+
+def _similar(node, kids):
+    """(r, sigma) when ``node`` is sigma^r times a function smooth on [0, 1]
+    between its split points, sigma a Wrapped node with the Cantor hook:
+    products add r, quotients subtract it, powers scale it, and abs and
+    negation keep it while sgn drops it, as sigma >= 0.  None for any
+    other node that holds a Cantor node or an opaque callable."""
+    if isinstance(node, Wrapped):
+        return (1.0, node) if node.cantor_level else None
+    sims = [k.similar for k in kids]
+    if sims.count(_SMOOTH) == len(sims):
+        return _SMOOTH
+    sigmas = {k[1] for k in sims if k} - {None}
+    if None in sims or len(sigmas) != 1:
+        return None
+    r, kind = [k[0] for k in sims], node.name if isinstance(node, Call) else type(node)
+    degree = {Mul: sum(r), Div: r[0] - r[-1], Pow: r[0] * getattr(node, "expo", 0.0),
+              Neg: r[0], "abs": r[0], "sgn": 0.0}.get(kind)
+    return None if degree is None else (degree, sigmas.pop())
+
+
 def combine(node, *kids):
     """``node`` as a FunctionExpr, its metadata computed by the rule for the
     node's kind from ``kids``: one FunctionExpr per entry of
@@ -757,7 +787,7 @@ def combine(node, *kids):
     support = _support(node, kids)
     decay = ("compact",) if support is not None else _decay(node, kids)
     return FunctionExpr(node, tuple(sorted(sing)), tuple(sorted(kinks - sing)),
-                        support, decay)
+                        support, decay, _similar(node, kids))
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +803,7 @@ class FunctionExpr:
     kinks: tuple = ()
     support: tuple | None = None
     decay: tuple = ("none",)
+    similar: tuple | None = None  # (r, sigma), or None when not known: see _similar
 
     @staticmethod
     def from_node(node):
@@ -887,7 +918,7 @@ class FunctionExpr:
         return replace(self, root=self.root.subst_affine(a, b),
                        singularities=move(self.singularities), kinks=move(self.kinks),
                        support=None if self.support is None else move(self.support),
-                       decay=decay)
+                       decay=decay, similar=_SMOOTH if self.similar == _SMOOTH else None)
 
     def feature_points(self):
         pts = set(self.singularities) | set(self.kinks)

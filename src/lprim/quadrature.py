@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.special import binom
 from scipy.special import spherical_jn as _sp_spherical_jn
 
 from .errors import ConvergenceError, IntegrabilityError, LprimError
@@ -179,7 +180,8 @@ class _Family:
     ``sing`` and ``cuts`` are (owners, m) arrays: the declared singular
     points, and those together with every other point to split at.  ``support``
     is None or a pair of per-owner arrays; ``radius`` is the effective
-    radius of each owner; ``decay`` is shared by all owners."""
+    radius of each owner; ``decay`` is shared by all owners, and so is
+    ``similar``, a FunctionExpr.similar (r, sigma) with r > 0, or None."""
 
     fn: object
     sing: np.ndarray
@@ -187,6 +189,7 @@ class _Family:
     radius: np.ndarray
     support: tuple | None
     decay: tuple
+    similar: tuple | None = None
 
 
 # A decay centre's bump may be narrow next to the panel that holds it, and
@@ -256,8 +259,10 @@ def _family(fn, n, factors, extra=(), line=False, decay=None):
             radius = np.maximum(radius, 1.5 * shifted.max(axis=1, initial=-math.inf) + 4.0)
         if support is not None:  # an empty one, hi < lo, _integrate_line clips
             support = (np.full(n, support[0]), np.full(n, support[1]))
+    f, xs = factors[0]
+    sim = f.similar if len(factors) == 1 and xs is None else None
     return _Family(fn, cut_rows[:, :leading], cut_rows, radius, support,
-                   factors[0][0].decay if decay is None else decay)
+                   f.decay if decay is None else decay, sim if sim and sim[0] > 0.0 else None)
 
 
 def _single(f, extra_splits=(), line=False):
@@ -534,13 +539,101 @@ def _tanh_sinh(fn, owner, a, b, cfg):
 
 
 # ---------------------------------------------------------------------------
+# self-similar rule for the piece [0, 1] of sigma^r h, sigma the Cantor function
+
+_SS_NODES = 8  # Gauss-Legendre samples of h on a cell
+_SS_TERMS = 17  # binomial terms in sigma: the rest is below 8^-17 of a cell
+
+
+@functools.cache
+def cantor_moments(K, N):
+    """M[k, n] = integral over [0, 1] of v^k sigma(t)^n dt, v = 2t - 1, k <= K,
+    n <= N.  On the thirds of [0, 1], v = (v' - 2)/3 with sigma = sigma(t')/2,
+    sigma = 1/2, and v = (v' + 2)/3 with sigma = (1 + sigma(t'))/2, so that
+    M[k, n] (2^n 3^(k+1) - 2) is a sum of the M[i, j] before it, in which
+    M[k, n] is still 0 (as Lad & Taylor, Statist. Probab. Lett. 13, 1992,
+    find the moments of the Cantor measure)."""
+    M = np.zeros((K + 1, N + 1))
+    for n, k in np.ndindex(N + 1, K + 1):
+        i, bn = np.arange(k + 1), binom(n, np.arange(n + 1))
+        bk = binom(k, i) * 2.0 ** (k - i)
+        outer = (bk * (-1.0) ** (k - i)) @ M[:k + 1, n] + bk @ M[:k + 1, :n + 1] @ bn
+        middle = (1 + (-1) ** k) / (2 * (k + 1))
+        M[k, n] = (middle + outer) / (2.0 ** n * 3.0 ** (k + 1) - 2.0)
+    return M
+
+
+@functools.cache
+def _ss_tables():
+    """The nodes v in [-1, 1], the map from samples at them to coefficients
+    of v^k, and the moments, built on first use: importing costs nothing."""
+    v = np.polynomial.legendre.leggauss(_SS_NODES)[0]
+    return v, np.linalg.inv(np.vander(v, increasing=True)), cantor_moments(
+        _SS_NODES - 1, _SS_TERMS - 1)
+
+
+def _self_similar(similar, fn, owner, a, b, cfg):
+    """Integrals over [0, 1] of fn(owner[j], .) = sigma^r h, h smooth: on
+    ternary cells, where sigma = c + s sigma(t), s <= c/8, and gaps, where
+    sigma = c (s = 0, as on a cell at depth ``level``), h = fn/sigma^r is
+    the polynomial through _SS_NODES samples and (c + s sigma)^r a binomial
+    series, closed by cantor_moments.  The error adds h's last two
+    coefficients, the series' remainder and sigma's distance from its cut at
+    ``level`` digits; the cell at c = 0 is dropped with the bound s^r w
+    max|h|.  A cell splits in thirds while its error exceeds its share."""
+    (r, sigma), n, level = similar, owner.size, similar[1].cantor_level
+    v, mono, M = _ss_tables()
+    coef, rest = binom(r, np.arange(_SS_TERMS)), abs(binom(r, _SS_TERMS))
+    value, err, deep = np.zeros(n), np.zeros(n), np.full(n, 1.0 / 16.0)
+    tiny = 3.0 ** -cfg.max_depth  # the narrowest cell that splits
+    leaves = np.array([np.arange(n), a, b - a, np.zeros(n), np.ones(n)])  # j, x0, w, c, s
+
+    def thirds(leaves):
+        j, x0, w, c, s = np.tile(leaves, 3)
+        third = np.repeat([0.0, 1.0, 2.0], leaves.shape[1])
+        c, s = c + (third > 0) * 0.5 * s, (third != 1) * 0.5 * s
+        flat = s <= 2.0 ** -level
+        return np.stack([j, x0 + third * w / 3.0, w / 3.0, c + flat * 0.5 * s, s * ~flat])
+
+    while leaves.shape[1]:
+        j, x0, w, c, s = leaves
+        j = j.astype(int)
+        # split unsampled: slow series, and the cell at c = 0 down to its share
+        slow = ((c > 0.0) & (c < 8.0 * s) | (c == 0.0) & (s > deep[j])) & (w > tiny)
+        if slow.any():
+            leaves = np.concatenate([leaves[:, ~slow], thirds(leaves[:, slow])], axis=1)
+            continue
+        ys = x0[:, None] + w[:, None] * (0.5 * v + 0.5)
+        with np.errstate(all="ignore"):
+            h = fn(np.repeat(owner[j], v.size), ys.ravel()).reshape(ys.shape) / sigma.fn(ys) ** r
+            u, top, hmax = s / c, (c + s) ** r, np.abs(h).max(axis=1)
+            poly = h @ mono.T
+            val = w * c ** r * np.einsum("lk,kn,ln->l", poly, M,
+                                         coef * u[:, None] ** np.arange(_SS_TERMS))
+            e = w * (top * np.abs(poly[:, -2:]).sum(axis=1) + hmax * (
+                c ** r * rest * u ** _SS_TERMS / (1.0 - u)
+                + (s > 0) * r * top / c * 2.0 ** -(level + 1)))
+            drop = c == 0.0
+            val[drop], e[drop] = 0.0, (w * s ** r * hmax)[drop]
+            e[~np.isfinite(e)] = np.inf
+            tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value + np.bincount(j, val, n)))
+            deep[j[drop]] = (tol[j] / hmax)[drop] ** (1.0 / r)
+        split = (e > tol[j] * w) & (w > tiny) & (leaves.shape[1] < _MAX_PANELS)
+        value += np.bincount(j[~split], val[~split], n)
+        err += np.bincount(j[~split], e[~split], n)
+        leaves = thirds(leaves[:, split])
+    return FamilyResult(value, err, err <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value)))
+
+
+# ---------------------------------------------------------------------------
 # finite intervals and the line, per family
 
 
 def _integrate(fam, owner, a, b, cfg, group=None):
     """Integral of owner[j]'s integrand over [a[j], b[j]], a <= b, split at
     its singular points and split points; the pieces next to a singular
-    point take the tanh-sinh rule, all others share one GK pool.
+    point take the tanh-sinh rule, a piece [0, 1] of a family with a
+    ``similar`` the self-similar rule, and all others share one GK pool.
     ``group``, one label per interval, holds the GK pieces of the
     intervals with one label to their tolerance together (see
     _adaptive_gk)."""
@@ -558,16 +651,19 @@ def _integrate(fam, owner, a, b, cfg, group=None):
         owner = owner[piece]
         if group is not None:
             group = group[piece]
-    if fam.sing.shape[1] == 0:
+    if fam.sing.shape[1] == 0 and fam.similar is None:
         res = _adaptive_gk(fam.fn, owner, lo, hi, cfg, group)
     else:
         sing = fam.sing[owner]
         singular = ((lo[:, None] == sing) | (hi[:, None] == sing)).any(axis=1)
+        similar = (lo == 0.0) & (hi == 1.0) & ~singular & (fam.similar is not None)
+        smooth = ~singular & ~similar
         value = np.zeros(lo.size)
         err = np.zeros(lo.size)
         conv = np.ones(lo.size, dtype=bool)
-        gk = functools.partial(_adaptive_gk, group=None if group is None else group[~singular])
-        for mask, rule in ((~singular, gk), (singular, _tanh_sinh)):
+        gk = functools.partial(_adaptive_gk, group=None if group is None else group[smooth])
+        ss = functools.partial(_self_similar, fam.similar)
+        for mask, rule in ((smooth, gk), (singular, _tanh_sinh), (similar, ss)):
             if mask.any():
                 r = rule(fam.fn, owner[mask], lo[mask], hi[mask], cfg)
                 value[mask], err[mask], conv[mask] = r.value, r.err_est, r.converged

@@ -178,7 +178,7 @@ METADATA_TABLE = [
     ('corpus:log_cusp', lambda: C('log_cusp'),
      (0.0,), (), None, ('exponential',)),
     ('corpus:cantor', lambda: C('cantor_primitive'),
-     (), (), None, ('gaussian',)),
+     (), (0.0, 1.0), None, ('gaussian',)),
     ('corpus:weierstrass', lambda: C('weierstrass'),
      (), (), None, ('gaussian',)),
     ('corpus:tent', lambda: C('tent'),
