@@ -13,13 +13,13 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ExponentError, LprimError
 from .expr import FunctionExpr, Wrapped
 from .lpspace import Multiplier, conjugate
 from .parser import parse_expr
-from .quadrature import DEFAULT_CONFIG, integrate, integrate_line, lp_norm
+from .quadrature import (DEFAULT_CONFIG, _gk_eval, find_sign_changes, integrate,
+                         integrate_line, lp_norm)
 
 
 class NthDistribution:
@@ -143,12 +143,10 @@ def norm_comparison_example(m, cfg=None):
     Fm = parse_expr(f"sin({m}*x)*indicator(0,{2 * math.pi!r})")
     l1 = lp_norm(Fm, 1.0, cfg)
 
-    # cumulative primitive on a grid resolving the oscillation, then a
-    # bounded Brent polish around the best node
+    # cumulative primitive on a grid resolving the oscillation; |H|, with
+    # H' = F_m, peaks where F_m changes sign near the best node
     n_panels = max(4096, 64 * m)
     edges = np.linspace(0.0, 2.0 * math.pi, n_panels + 1)
-    from .quadrature import _gk_eval
-
     vals = _gk_eval(lambda owner, ys: Fm.values(ys), np.zeros(n_panels, dtype=int),
                     edges[:-1], edges[1:])[0]
     cum = np.concatenate([[0.0], np.cumsum(vals)])
@@ -156,11 +154,6 @@ def norm_comparison_example(m, cfg=None):
     lo = edges[max(i - 1, 0)]
     hi = edges[min(i + 1, n_panels)]
     base = cum[max(i - 1, 0)]
-
-    def h(x):
-        return abs(base + integrate(Fm, lo, x, cfg).value)
-
-    res = minimize_scalar(lambda x: -h(x), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    alexiewicz = max(-res.fun, float(np.max(np.abs(cum))))
+    peaks = [abs(base + integrate(Fm, lo, z, cfg).value) for z in find_sign_changes(Fm, lo, hi)]
+    alexiewicz = max([abs(float(cum[i]))] + peaks)
     return l1, alexiewicz

@@ -110,7 +110,7 @@ class PrimitiveDistribution:
     def __mul__(self, a):
         a = float(a)
         return PrimitiveDistribution(
-            self.F * a, self.p, osc_wavelength=self.osc_wavelength,
+            self.F * a, self.p, self._cfg, self.osc_wavelength,
             _norm=lambda: abs(a) * self.norm,
         )
 
@@ -203,7 +203,7 @@ def translate(f, t):
     if t == 0.0:
         return f
     return PrimitiveDistribution(
-        f.F.affine(1.0, -t), f.p, osc_wavelength=f.osc_wavelength,
+        f.F.affine(1.0, -t), f.p, f._cfg, f.osc_wavelength,
         _norm=lambda: f.norm,
     )
 

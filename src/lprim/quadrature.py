@@ -33,7 +33,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import binom
 from scipy.special import spherical_jn as _sp_spherical_jn
 
@@ -1420,25 +1419,31 @@ def lp_norms(f, p, cfg=None, cuts=((),), weight=None):
 
 
 def sup_norm(f, cfg=None):
-    """Supremum of |f|: grid scan plus bounded Brent refinement.
-
-    A lower-bound estimator, refined until stable to rel_tol.  Declared
-    singular points are treated as potentially unbounded and refused.
-    """
+    """Supremum of |f| (non-finite values count as 0), a lower bound: grid
+    scan, then one golden-section search over the brackets of the eight
+    largest grid values, one ``f.values`` call per step.  Declared singular
+    points are treated as potentially unbounded and refused."""
     cfg = cfg or DEFAULT_CONFIG
     if f.singularities:
         raise ConvergenceError("sup_norm: declared singular points may be unbounded")
+
+    def absf(xs):
+        vals = np.abs(f.values(xs.ravel())).reshape(xs.shape)
+        return np.where(np.isfinite(vals), vals, 0.0)
+
     a, b = extent(f, 64.0 if f.decay[0] == "none" else 16.0)
     n = _scan_size(a, b, cfg, 4096)
     xs = np.linspace(a, b, n + 1)
-    vals = np.abs(f.values(xs))
-    vals = np.where(np.isfinite(vals), vals, 0.0)
-    best = float(vals.max())
-    # refine around the top local maxima
-    for i in np.argsort(vals)[-8:]:
-        lo = xs[max(int(i) - 1, 0)]
-        hi = xs[min(int(i) + 1, n)]
-        res = minimize_scalar(lambda x: -abs(f(x)), bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-13 * max(1.0, abs(hi))})
-        best = max(best, -res.fun)
-    return best
+    vals = absf(xs)
+    best = vals.max()
+    top = np.argsort(vals)[-8:]
+    lo, hi = xs[np.maximum(top - 1, 0)], xs[np.minimum(top + 1, n)]
+    xatol, r = 1e-13 * np.maximum(1.0, np.abs(hi)), 0.5 * (math.sqrt(5.0) - 1.0)
+    while np.any(hi - lo >= xatol):
+        # the inner point kept from the last step is evaluated again, not carried
+        x = np.stack((hi - r * (hi - lo), lo + r * (hi - lo)))
+        g = absf(x)
+        best = max(best, g.max())
+        left = g[0] >= g[1]  # keep [lo, x[1]], else [x[0], hi]
+        lo, hi = np.where(left, lo, x[0]), np.where(left, x[1], hi)
+    return float(best)

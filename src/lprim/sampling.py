@@ -11,10 +11,8 @@ midpoints of every segment still above the tolerance.
 Each segment's interpolant is the not-a-knot cubic spline through its
 samples.  Its slopes come from one LAPACK tridiagonal solve (`dgtsv`) per
 refinement round, on the system scipy's cubic spline hands to the same
-routine, and the cubic pieces use the coefficients and summation order of
-scipy's `CubicHermiteSpline` and `PPoly`: the values are scipy's spline
-values to the last bit, without a spline object per round.  The finished
-function is one `PPoly` over the joined segments.
+routine, and the pieces, with scipy's coefficients, are summed in the order
+of scipy's `PPoly` (`_cubic_sum`): scipy's spline values to the last bit.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import PPoly
 from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError
@@ -59,18 +56,25 @@ def _cubic(x, y):
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
+def _cubic_sum(c, s):
+    """c[3] + c[2] s + c[1] s^2 + c[0] s^3 at offsets s, summed term by term
+    (not nested as by Horner's rule) as PPoly sums it."""
+    return c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
+
+
 class _Spline:
     """One piecewise cubic over [lo, hi], zero outside."""
 
     def __init__(self, knots, coefs):
-        self.pp = PPoly.construct_fast(coefs, knots, extrapolate=False)
-        self.lo, self.hi = knots[0], knots[-1]
+        self.knots, self.coefs = knots, coefs
 
     def __call__(self, xs):
         xs = np.asarray(xs, dtype=float)
-        out = self.pp(xs)
-        out[~((xs >= self.lo) & (xs <= self.hi))] = 0.0
-        return out
+        inside = (xs >= self.knots[0]) & (xs <= self.knots[-1])
+        # i counts the inner knots <= x: piece i is [knots[i], knots[i+1]), the last closed
+        i = self.knots[1:-1].searchsorted(xs, side="right")
+        s = np.where(inside, xs - self.knots[i], 0.0)  # no inf or nan in the sum
+        return np.where(inside, _cubic_sum(self.coefs.take(i, axis=1), s), 0.0)
 
 
 def sample_function(
@@ -119,9 +123,7 @@ def sample_function(
         mvals = _split(evaluate(np.concatenate(mids)), mids)
         for i, m, mv in zip(live, mids, mvals):
             xs, a, b = grids[i], cuts[i], cuts[i + 1]
-            c, s = _cubic(xs, vals[i]), m - xs[:-1]
-            # summed in PPoly's order: the spline's own values, bit for bit
-            guess = c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
+            guess = _cubic_sum(_cubic(xs, vals[i]), m - xs[:-1])
             err = errs[i] = float(np.max(np.abs(guess - mv)))
             if not math.isfinite(err):
                 raise ConvergenceError(

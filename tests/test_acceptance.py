@@ -240,14 +240,33 @@ def _failure_detail(proc):
     return parts
 
 
-def test_verify_all():
-    # Run the CLI with this interpreter and the lprim package imported here,
-    # whether it is installed or only on PYTHONPATH (no console script needed).
+def _fresh_interpreter_env():
+    """The environment of a fresh interpreter that imports the lprim package
+    imported here, whether it is installed or only on PYTHONPATH (no console
+    script needed)."""
     src_root = os.path.dirname(os.path.dirname(os.path.abspath(lprim.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_import_graph():
+    # scipy.interpolate imports scipy.optimize: both cost start-up time that
+    # the package does not need
+    probe = ("import sys, lprim; print(*(m for m in ('scipy.optimize', 'scipy.interpolate') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env=_fresh_interpreter_env())
+    loaded = proc.stdout.split()
+    ok = proc.returncode == 0 and not loaded
+    report("import-graph", ok, f"exit={proc.returncode} scipy modules: {loaded or 'none'}")
+
+
+def test_verify_all():
+    # Run the CLI with this interpreter and the lprim package imported here
+    env = _fresh_interpreter_env()
     budget = 600.0
     t0 = time.monotonic()
     try:

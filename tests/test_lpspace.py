@@ -273,6 +273,14 @@ class TestLazyNorm:
             h.norm
             assert norm_calls == [cfg]
 
+    def test_configuration_kept_when_scaled_or_translated(self, norm_calls):
+        cfg = QuadConfig(abs_tol=1e-6, rel_tol=1e-5)
+        f = dist("exp(-x^2)", 2.0, cfg=cfg)
+        for h in (f * 2, translate(f, 1.0), (f * 2) + f):
+            assert h._cfg == cfg
+        ((f * 2) + f).norm
+        assert norm_calls == [cfg]
+
     def test_oscillation_wavelength_kept(self):
         f = dist("exp(-x^2)", 2.0)
         g = dist("exp(-x^2)*sin(x)", 2.0, osc_wavelength=2 * math.pi)

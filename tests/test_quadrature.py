@@ -169,9 +169,14 @@ class TestNorms:
         f = parse_expr("sing(log(abs(x)), 0)*exp(-abs(x))")
         assert lp_norm(f, 1.0) == pytest.approx(2.031967067385147, abs=1e-8)
 
-    def test_sup_norm(self):
-        f = parse_expr("exp(-(x-1)^2)")
-        assert sup_norm(f) == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("src, peak", [
+        ("exp(-(x-1)^2)", 1.0),
+        # off the scan's grid: only the refinement finds these maxima
+        ("x*exp(-x^2)", (2.0 * math.e) ** -0.5),
+        ("exp(-abs(x-0.3))", 1.0),
+    ], ids=["grid-node", "off-grid", "kink"])
+    def test_sup_norm(self, src, peak):
+        assert sup_norm(parse_expr(src)) == pytest.approx(peak, abs=1e-10)
 
     def test_sup_norm_refuses_singular(self):
         with pytest.raises(ConvergenceError):
