@@ -30,7 +30,7 @@ def conv_multiplier(f, G, x, cfg=None):
     q = conjugate(f.p)
     if not math.isclose(G.q, q, rel_tol=1e-12):
         raise ExponentError(f"multiplier exponent {G.q} is not conjugate to p={f.p}")
-    cfg = _config_for(cfg, f.osc_wavelength)
+    cfg = _config_for(cfg or f._cfg, f.osc_wavelength)
     return ConvolutionValues(f.F, G.g, cfg, "convolution").at(x)
 
 
@@ -112,7 +112,7 @@ def conv_lq(f, g, r, cfg=None, tol=1e-9):
     if q < 1.0 - 1e-12:
         raise ExponentError(f"exponent relation needs q={q:.4g} >= 1")
     q = max(q, 1.0)
-    cfg = _config_for(cfg, f.osc_wavelength)
+    cfg = _config_for(cfg or f._cfg, f.osc_wavelength)
     cuts = ((),) + tuple((0.0, -(m + n), m + n) for n, m in _TAIL_PAIRS)
     norm_g, *tail_norms = lp_norms(g, q, cfg, cuts, _tail_weight)
     if norm_g == 0.0:
@@ -158,7 +158,7 @@ def star(f, g, cfg=None, tol=5e-10):
     """f star g for f, g in L'^1: the distribution with primitive F * G."""
     if f.p != 1.0 or g.p != 1.0:
         raise ExponentError("star needs both factors in L'^1")
-    cfg = _config_for(cfg, f.osc_wavelength or g.osc_wavelength)
+    cfg = _config_for(cfg or f._cfg, f.osc_wavelength or g.osc_wavelength)
     if f.norm == 0.0 or g.norm == 0.0:
         zero = parse_expr("0*indicator(0,1)")
         return ConvolutionResult("star", PrimitiveDistribution(zero, 1.0, _norm=0.0),

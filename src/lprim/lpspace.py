@@ -122,7 +122,7 @@ class PrimitiveDistribution:
     def equals(self, other, tol=1e-8, cfg=None):
         """a.e. equality of primitives: ||F1 - F2||_p <= tol."""
         o = self._same(other)
-        return lp_norm(self.F - o.F, self.p, cfg) <= tol
+        return lp_norm(self.F - o.F, self.p, cfg or self._cfg) <= tol
 
 
 class Multiplier:
@@ -173,7 +173,7 @@ def pair(f, G, cfg=None):
     q = conjugate(f.p)
     if not math.isclose(G.q, q, rel_tol=1e-12) and not (G.q == q == math.inf):
         raise ExponentError(f"multiplier exponent {G.q} is not conjugate to p={f.p}")
-    cfg = _config_for(cfg, f.osc_wavelength)
+    cfg = _config_for(cfg or f._cfg, f.osc_wavelength)
     integrand = f.F * G.g
     return -integrate_line(integrand, cfg).value
 
@@ -192,6 +192,7 @@ def dual_norm(f, cfg=None):
     witness = combine(Call("sgn", F.root), F)
     if f.p != 1.0:
         witness = witness * abs(F).power(f.p - 1.0) * n ** (1.0 - f.p)
+    cfg = _config_for(cfg or f._cfg, f.osc_wavelength)
     mult = Multiplier(witness, conjugate(f.p), cfg=cfg)
     return abs(pair(f, mult, cfg=cfg))
 
@@ -252,7 +253,7 @@ def reconstruct(f, x, n, cfg=None):
     """
     if n <= 0 or n <= -x:
         raise LprimError("reconstruct needs n > max(0, -x)")
-    cfg = _config_for(cfg, f.osc_wavelength)
+    cfg = _config_for(cfg or f._cfg, f.osc_wavelength)
     a = -integrate(f.F, -2.0 * n, -1.0 * n, cfg).value / n
     b = n * integrate(f.F, x, x + 1.0 / n, cfg).value
     return a + b
@@ -311,7 +312,7 @@ def step_approximate(f, n, cfg=None):
     """
     if n < 1:
         raise LprimError("step_approximate needs n >= 1")
-    cfg = _config_for(cfg, f.osc_wavelength)
+    cfg = _config_for(cfg or f._cfg, f.osc_wavelength)
     F = f.F
     lo, hi = extent(F)
     grid = np.linspace(lo, hi, 4096)
@@ -448,7 +449,7 @@ def weak_vanishing_bound(f, G, M, N, eps, cfg=None, samples=20_001):
         raise LprimError("weak_vanishing_bound needs 0 < M < N")
     if eps <= 0:
         raise LprimError("eps must be positive")
-    cfg = _config_for(cfg, f.osc_wavelength)
+    cfg = _config_for(cfg or f._cfg, f.osc_wavelength)
     xs = scan_grid(f.F, M, N, samples - 1)
     FG = f.F.values(xs) * G.G_values(xs)
     FG = np.where(np.isfinite(FG), FG, 0.0)
@@ -469,5 +470,5 @@ def gateaux_profile(f, g, t_grid, cfg=None):
     f._same(g)
     if not 1.0 < f.p < math.inf:
         raise ExponentError("gateaux_profile needs 1 < p < oo")
-    cfg = _config_for(cfg, f.osc_wavelength)
+    cfg = _config_for(cfg or f._cfg, f.osc_wavelength)
     return [lp_norm(f.F + g.F * float(t), f.p, cfg) for t in t_grid]

@@ -4,14 +4,15 @@ Panel rule: 15-point Kronrod with embedded 7-point Gauss, error from the
 difference of the pair.  Intervals are pre-split at every declared
 singularity and kink; panels adjacent to a hard singularity switch to a
 tanh-sinh (double-exponential) rule, which absorbs any integrable endpoint
-power/log singularity.  Whole-line integrals truncate with doubling shells
-whose tails are certified through the integrand's decay class.
+power/log singularity.  A whole-line integral takes [-r, r] as a finite
+interval and maps both tails beyond r onto (0, 1], x = +-(r + L (1 - t)/t)
+(QUADPACK's QAGI map for L = 1), where they are one more family.
 
 One engine serves every integral: a family of integrals (a convolution
 sampled at many x, say) shares one panel pool, each integral keeping its
 own split points and stopping rule, and a single integral is the family
 with one owner.  One builder (``_family``) gives every family its split
-points, supports and truncation radii from the metadata of its factors:
+points, supports and radii from the metadata of its factors:
 f(y), the same for every owner, or K(x_i - y), moved for owner i.
 Convolutions of F with the Poisson kernel and its x-derivatives map the
 line onto a finite angle interval first (``angle_integral``), so they
@@ -30,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import binom
@@ -78,6 +79,8 @@ _wg[7] = _WG_HALF[-1]
 WG = np.array(_wg)
 
 _MAX_PANELS = 400_000
+# the radius where the Fourier rule's tail shells stop
+_TRUNCATION_RADIUS = 1e6
 
 
 def _env_tol(name, default):
@@ -98,7 +101,6 @@ class QuadConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_depth: int = 48
-    truncation_radius: float = 1e6
     osc_wavelength: float | None = None
 
     def __post_init__(self):
@@ -670,19 +672,33 @@ def _integrate(fam, owner, a, b, cfg, group=None):
     return res if piece is None else res.owners(piece, a.size)
 
 
-def _power_tails(fam, r, cfg):
-    """Both tails beyond |x| = r[i], pulled back to (0, 1] by x = +-r/t."""
+def _tails(fam, r, cfg):
+    """Both tails beyond |x| = r[i] of every owner, pulled back to (0, 1] by
+    x = +-(r + L (1 - t)/t), dx = L/t^2 dt, and integrated through
+    _integrate as one more family.  Power decay takes L = r, that is
+    x = +-r/t, with t = 0 singular, so the tanh-sinh rule absorbs the
+    endpoint; the other classes take QUADPACK's QAGI map, L = 1, in the
+    GK pool, without half-wavelength panels, whose widths are lengths
+    in x."""
     n = r.size
     owner = np.tile(np.arange(n), 2)
     sign = np.repeat([1.0, -1.0], n)
+    power = fam.decay[0] == "power"
     rr = r[owner]
+    scale = rr if power else np.ones(2 * n)
+    start = rr - scale  # r - L: 0 for power decay, so x = r/t to the last bit
 
     def fn(j, ts):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals = fam.fn(owner[j], sign[j] * rr[j] / ts) * (rr[j] / ts**2)
+            vals = fam.fn(owner[j], sign[j] * (start[j] + scale[j] / ts)) * (scale[j] / ts**2)
         return np.where(np.isfinite(vals), vals, 0.0)
 
-    tails = _tanh_sinh(fn, np.arange(2 * n), np.zeros(2 * n), np.ones(2 * n), cfg)
+    m = 2 * n
+    sing = np.zeros((m, int(power)))
+    if not power:
+        cfg = replace(cfg, osc_wavelength=None)
+    tails = _integrate(_Family(fn, sing, sing, None, None, fam.decay), np.arange(m),
+                       np.zeros(m), np.ones(m), cfg)
     return tails.owners(owner, n)
 
 
@@ -722,15 +738,11 @@ def _periodic_power_tails(fam, r, beta, lam, cfg):
 
 def _integrate_line(fam, cfg):
     """Line integrals of a family; see integrate_line."""
-    n = fam.radius.size
-    every = np.arange(n)
+    every = np.arange(fam.radius.size)
     if fam.support is not None:
-        lo = np.maximum(fam.support[0], -cfg.truncation_radius)
-        hi = np.maximum(np.minimum(fam.support[1], cfg.truncation_radius), lo)
-        return _integrate(fam, every, lo, hi, cfg)
-
-    kind = fam.decay[0]
-    r = fam.radius.copy()
+        lo = fam.support[0]
+        return _integrate(fam, every, lo, np.maximum(fam.support[1], lo), cfg)
+    kind, r = fam.decay[0], fam.radius
     if kind == "power":
         beta = fam.decay[1]
         if beta <= 1.0:
@@ -742,52 +754,23 @@ def _integrate_line(fam, cfg):
             r = lam * np.ceil(np.maximum(r, 64.0) / lam)
             total = _integrate(fam, every, -r, r, cfg)
             return total + _periodic_power_tails(fam, r, beta, lam, cfg)
-        return _integrate(fam, every, -r, r, cfg) + _power_tails(fam, r, cfg)
+    tails = _tails(fam, r, cfg)
+    if kind == "none":
+        # only an identically-zero tail can be certified: the mapped tails
+        # must vanish, and so must a probe of [r, 4r] on each side at
+        # spacing r/256
+        probe = np.concatenate([np.linspace(1.0, 4.0, 769), np.linspace(-4.0, -1.0, 769)])
 
-    # gaussian / exponential / none: doubling shells, all active owners at once
-    total = _integrate(fam, every, -r, r, cfg)
-    value, err, conv = total.value, total.err_est, total.converged
-    shell_tol = 0.25 * cfg.abs_tol
-    prev_mass = np.full(n, np.nan)
-    quiet = np.zeros(n, dtype=int)
-    act = every[r < cfg.truncation_radius]
-    conv[r >= cfg.truncation_radius] = False
-    while act.size:
-        ra = r[act]
-        shells = _integrate(fam, np.tile(act, 2), np.concatenate([ra, -2 * ra]),
-                            np.concatenate([2 * ra, -ra]), cfg)
-        side = np.tile(np.arange(act.size), 2)  # right shells, then left
-        mass = np.bincount(side, np.abs(shells.value) + shells.err_est, act.size)
-        shells = shells.owners(side, act.size)
-        value[act] += shells.value
-        err[act] += shells.err_est
-        conv[act] &= shells.converged
-        if kind == "none":
-            # only an identically-zero tail can be certified
-            probe = np.concatenate([np.linspace(1.0, 2.0, 257), np.linspace(-2.0, -1.0, 257)])
+        def nonzero(owner, r):
+            vals = fam.fn(np.repeat(owner, probe.size), (r[:, None] * probe).ravel())
+            return (vals.reshape(r.size, probe.size) != 0.0).any(axis=1),
 
-            def nonzero(owner, r):
-                vals = fam.fn(np.repeat(owner, probe.size), (r[:, None] * probe).ravel())
-                return (vals.reshape(r.size, probe.size) != 0.0).any(axis=1),
-
-            if np.any(mass != 0.0) or _in_chunks(nonzero, probe.size, act, ra)[0].any():
-                raise ConvergenceError(
-                    "decay class 'none' with nonzero tails: cannot certify convergence"
-                )
-            quiet[act] += 1
-            fin = quiet[act] >= 2
-        else:  # gaussian / exponential
-            small = mass < shell_tol
-            fin = small & (prev_mass[act] >= mass)
-            quiet[act] += small & ~fin
-            fin |= small & (quiet[act] >= 2)
-            err[act[fin]] += 2 * mass[fin]
-        prev_mass[act] = mass
-        r[act] *= 2
-        act = act[~fin]
-        conv[act[r[act] >= cfg.truncation_radius]] = False
-        act = act[r[act] < cfg.truncation_radius]
-    return FamilyResult(value, err, conv)
+        if (np.any(tails.value != 0.0) or np.any(tails.err_est != 0.0)
+                or _in_chunks(nonzero, probe.size, every, r)[0].any()):
+            raise ConvergenceError(
+                "decay class 'none' with nonzero tails: cannot certify convergence"
+            )
+    return _integrate(fam, every, -r, r, cfg) + tails
 
 
 # ---------------------------------------------------------------------------
@@ -825,9 +808,11 @@ def extent(f, minimum=8.0):
 def integrate_line(f, cfg=None, extra_splits=()):
     """Integrate ``f`` over the whole real line.
 
-    Compact support reduces to a finite interval.  Otherwise the integral
-    is truncated, with doubling shells certifying the tails through the
-    integrand's decay class; decay 'none' with nonzero tails is refused.
+    Compact support reduces to a finite interval.  Otherwise [-r, r], r
+    the effective radius, is a finite interval and the tails beyond r are
+    mapped onto (0, 1] (see _tails); a power tail with a known wavelength
+    takes the periodic zeta rule instead.  Decay 'none' is refused unless
+    its tails vanish.
     """
     return _integrate_line(_single(f, extra_splits, line=True), cfg or DEFAULT_CONFIG)[0]
 
@@ -1118,7 +1103,7 @@ def _fl_singular(f, lo, hi, s, cfg):
 
 def _power_tail_table(f, r, cfg):
     """What the asymptotic tail sum of a power-decay f needs at every s:
-    the candidate radii R = r 2^k up to truncation_radius, the values of
+    the candidate radii R = r 2^k up to _TRUNCATION_RADIUS, the values of
     f, f', ..., f^(K) at R and -R (one evaluation per derivative), and the
     remainder bound at each R before its factor |s|^-K (infinite where a
     value is not finite).  Returns (Rs, vals, bound, K)."""
@@ -1132,7 +1117,7 @@ def _power_tail_table(f, r, cfg):
     except LprimError:
         pass  # a node without a symbolic derivative: fewer terms
     K = len(derivs) - 1
-    Rs = r * 2.0 ** np.arange(max(0, int(np.log2(cfg.truncation_radius / r))) + 1)
+    Rs = r * 2.0 ** np.arange(max(0, int(np.log2(_TRUNCATION_RADIUS / r))) + 1)
     vals = np.array([d.values(np.concatenate([Rs, -Rs])) for d in derivs])
     vals = vals.reshape(K + 1, 2, Rs.size)
     bound = np.abs(vals[K]).sum(axis=0) * Rs / (beta + K - 1.0)
@@ -1153,7 +1138,7 @@ def _asymptotic_tails(table, s, cfg):
     fit = bound <= 0.25 * cfg.abs_tol * np.min(np.abs(s)) ** K
     if not fit.any():
         raise ConvergenceError(
-            f"power-decay tail not within tolerance inside |x| <= {cfg.truncation_radius:g}")
+            f"power-decay tail not within tolerance inside |x| <= {_TRUNCATION_RADIUS:g}")
     i = int(np.argmax(fit))
     R = Rs[i]
     inv = 1.0 / (1j * s[:, None]) ** np.arange(1, K + 1)  # (q, K)
@@ -1172,11 +1157,12 @@ class FourierSampling:
 
     The line splits at f's singular points, kinks and support ends, and the
     Filon-Legendre rule integrates each panel.  Tails by decay class:
-    compact support needs none; for gaussian and exponential decay, shells
-    [R, 2R] are sampled as the line integrals' shells are, and twice the
-    last shell's mass bounds the rest; power decay takes the asymptotic sum
-    of _asymptotic_tails; decay 'none' is accepted only with vanishing
-    shells.  The error estimate sums the panels' Legendre tails, the
+    compact support needs none; for gaussian and exponential decay, doubling
+    shells [R, 2R] are sampled until two are quiet, and twice the last
+    shell's mass bounds the rest (the shells stay in x: pulled back to
+    (0, 1] as the line integrals' tails are, e^{-isx} would be a chirp);
+    power decay takes the asymptotic sum of _asymptotic_tails; decay 'none'
+    is accepted only with vanishing shells.  The error estimate sums the panels' Legendre tails, the
     tanh-sinh errors and the tail bound.
 
     Every call shares one sampling.  The panels depend on f alone and are
@@ -1223,10 +1209,7 @@ class FourierSampling:
             return pts[:-1][wide], pts[1:][wide]
 
         lo, r = extent(f)  # without a support, the core is [-r, r]
-        if f.support is not None:
-            lo = max(lo, -cfg.truncation_radius)
-            r = max(min(r, cfg.truncation_radius), lo)
-        a, b = pieces(lo, r)
+        a, b = pieces(lo, max(r, lo))
         sing = np.array(f.singularities, dtype=float)
         graded = np.isin(a, sing) | np.isin(b, sing)
         (lo, hi, coef, _), _, err, ok, _ = self._sample(a[~graded], b[~graded])
@@ -1235,11 +1218,12 @@ class FourierSampling:
         if f.support is None and f.decay[0] == "power":
             self._table, self._r = _power_tail_table(f, r, cfg), r
         elif f.support is None:
-            # gaussian / exponential / none: doubling shells, as _integrate_line
+            # gaussian / exponential / none: doubling shells in x, where the
+            # Legendre panels of e^{-isx} stay polynomial-like at every s
             kind = f.decay[0]
             prev, quiet = np.nan, 0
             while True:
-                if r >= cfg.truncation_radius:
+                if r >= _TRUNCATION_RADIUS:
                     blocks.append((0.0,) + _NO_PANELS[:3] + (0.0, False))
                     break
                 (lo, hi, coef, _), _, err, ok, mass = self._sample([r, -2 * r], [2 * r, -r])

@@ -50,6 +50,11 @@ class TestPrimitiveTransform:
             got = fourier_primitive(F, s).as_complex()
             assert got == pytest.approx(expected, abs=1e-10)
 
+    def test_wide_support_sampled_as_given(self):
+        F = parse_expr("indicator(0,2e6)")
+        expected = (1 - cmath.exp(-2e6j)) / 1j
+        assert abs(fourier_primitive(F, 1.0).as_complex() - expected) <= 1e-9
+
     def test_high_frequency_branch(self):
         # |s| >= 50 engages the integration-by-parts path; it must agree
         # with the closed form and keep shrinking

@@ -312,3 +312,58 @@ class TestLazyNorm:
             f.norm
         with pytest.raises(ConvergenceError):
             (2.0 * f).norm
+
+
+class TestOwnConfiguration:
+    """Without a cfg, an operation on f integrates with f's configuration;
+    a cfg passed in is used, with f's wavelength merged in."""
+
+    CFG = QuadConfig(abs_tol=1e-6, rel_tol=1e-5)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The configuration of every integral lpspace and convolution ask for."""
+        from lprim import convolution, lpspace
+
+        seen = []
+        for module, name, pos in ((lpspace, "integrate_line", 1), (lpspace, "lp_norm", 2),
+                                  (lpspace, "integrate", 3), (convolution, "lp_norm", 2),
+                                  (convolution, "lp_norms", 2),
+                                  (convolution, "ConvolutionValues", 2)):
+            def spy(*args, _engine=getattr(module, name), _pos=pos, **kwargs):
+                seen.append(args[_pos])
+                return _engine(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        return seen
+
+    def test_operations_use_the_distribution_configuration(self, seen):
+        from lprim.convolution import conv_lq, conv_multiplier, star
+
+        cfg = self.CFG
+        f = dist("exp(-x^2)", 1.0, cfg=cfg)
+        f2 = dist("exp(-x^2)", 2.0, cfg=cfg)
+        g = parse_expr("exp(-x^2)")
+        G = Multiplier(g, math.inf, cfg=cfg)
+        operations = {
+            "dual_norm": lambda: dual_norm(f),
+            "equals": lambda: f.equals(f),
+            "pair": lambda: pair(f, G),
+            "reconstruct": lambda: reconstruct(f, 0.5, 2),
+            "step_approximate": lambda: step_approximate(f, 4),
+            "weak_vanishing_bound": lambda: weak_vanishing_bound(f, G, 1.0, 2.0, 0.1),
+            "gateaux_profile": lambda: gateaux_profile(f2, f2, [0.0, 0.5]),
+            "conv_multiplier": lambda: conv_multiplier(f, G, 0.3),
+            "conv_lq": lambda: conv_lq(f, g, 1.0, tol=1e-5).diagnostics["density"](0.2),
+            "star": lambda: star(f, f, tol=1e-5).diagnostics["density"](0.2),
+        }
+        for name, op in operations.items():
+            seen.clear()
+            op()
+            assert seen and all(c == cfg for c in seen), name
+
+    def test_passed_configuration_keeps_the_wavelength(self, seen):
+        f = dist("exp(-x^2)*sin(x)", 2.0, osc_wavelength=2 * math.pi)
+        G = Multiplier(parse_expr("exp(-x^2)"), 2.0)
+        pair(f, G, self.CFG)
+        assert seen == [QuadConfig(abs_tol=1e-6, rel_tol=1e-5, osc_wavelength=2 * math.pi)]

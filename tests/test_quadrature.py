@@ -100,6 +100,68 @@ class TestLineIntegrals:
             integrate_line(parse_expr("cos(x)^2"))
 
 
+class TestTailRule:
+    """Every decaying tail beyond the radius r is pulled back to (0, 1]
+    and integrated there; power tails by x = +-r/t, the others by
+    x = +-(r + (1 - t)/t)."""
+
+    def test_frequency_scan(self):
+        # the integral of e^{-|x|} cos(kx) is 2/(1 + k^2)
+        for k in range(2, 201):
+            res = integrate_line(parse_expr(f"exp(-abs(x))*cos({k}*x)"))
+            assert res.converged, k
+            assert abs(res.value - 2.0 / (1.0 + k * k)) <= 1e-9, k
+
+    @pytest.mark.parametrize("src,want", [
+        ("exp(-abs(x)/50)", 100.0),
+        ("exp(-abs(x)/1000)", 2000.0),
+        ("exp(-1e-6*x^2)", math.sqrt(math.pi * 1e6)),
+        ("x^8*exp(-abs(x))", 2.0 * math.factorial(8)),
+        ("exp(-abs(x)^1.5)", 2.0 * math.gamma(5.0 / 3.0)),
+    ])
+    def test_slow_and_wide_tails(self, src, want):
+        res = integrate_line(parse_expr(src))
+        assert res.converged
+        assert abs(res.value - want) <= max(res.err_est, 1e-10 * want)
+
+    def test_periodic_none_class_refused(self):
+        with pytest.raises(ConvergenceError):
+            integrate_line(parse_expr("sin(x)"))
+
+    def test_none_class_with_vanishing_tails(self):
+        f = parse_expr("piecewise(x < -1 -> 0, x < 1 -> 1 - abs(x), else -> 0)")
+        assert f.decay == ("none",) and f.support is None
+        res = integrate_line(f)
+        assert res.converged
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("src", ["exp(-x^2)", "exp(-abs(x))"])
+    def test_two_pool_calls(self, monkeypatch, src):
+        # one for [-r, r], one for both mapped tails
+        calls = []
+        engine = quadrature._adaptive_gk
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_adaptive_gk", counting)
+        assert integrate_line(parse_expr(src)).converged
+        assert len(calls) == 2
+
+
+class TestWideSupports:
+    """A support is integrated as given, however wide."""
+
+    def test_line_integral(self):
+        res = integrate_line(parse_expr("indicator(0,2e6)"))
+        assert res.converged
+        assert res.value == pytest.approx(2e6, rel=1e-12)
+
+    def test_norm(self):
+        assert lp_norm(parse_expr("indicator(0,4e6)"), 1.0) == pytest.approx(4e6, rel=1e-12)
+
+
 SQRT_PI = math.sqrt(math.pi)
 QUARTIC = math.gamma(0.25) / 2  # integral of exp(-x^4)
 
