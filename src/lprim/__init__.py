@@ -7,6 +7,9 @@ Fourier transforms, higher-order spaces, and the half-plane Poisson
 extension.
 """
 
+import ctypes
+import sys
+
 from .convolution import (
     ConvolutionResult,
     approx_identity,
@@ -80,3 +83,22 @@ from .quadrature import QuadConfig, QuadResult, integrate, integrate_line, lp_no
 from .verify import run_suites
 
 __version__ = "0.1.0"
+
+
+def _keep_heap():
+    """Keep freed heap memory for the next request (glibc, mallopt(3)).
+
+    A request's numpy temporaries reach about 1.3 MB.  glibc gives the top
+    of the heap back to the system once more than M_TRIM_THRESHOLD of it is
+    free, a threshold it raises only as blocks above M_MMAP_THRESHOLD are
+    freed; unless an import happens to free a large block, it stays near
+    1 MB, and every request faults its temporaries in on fresh pages.
+    Fixed thresholds keep blocks below 4 MB on the heap and up to 16 MB of
+    it free."""
+    if sys.platform.startswith("linux"):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_heap()

@@ -92,7 +92,7 @@ def _tail_weight(owner, ys):
     return np.where(owner == 0, 1.0, tail)
 
 
-def conv_lq(f, g, r, cfg=None, tol=1e-9):
+def conv_lq(f, g, r, cfg=None, tol=None):
     """f * g for f in L'^p and g in L^q with 1/p + 1/q = 1 + 1/r.
 
     The result is the element of L'^r with primitive F * g.  Diagnostics
@@ -102,7 +102,8 @@ def conv_lq(f, g, r, cfg=None, tol=1e-9):
     ||g (w_m - w_n)||_q are one integral family (quadrature.lp_norms):
     the windows are evaluated in numpy, one sign-change scan of g serves
     all four, and the tails also split at 0 and at +-(m + n), where
-    w_m - w_n changes sign.
+    w_m - w_n changes sign.  The product is sampled to ``tol``, by
+    default 10 abs_tol of the configuration.
     """
     p = f.p
     q_needed = 1.0 + 1.0 / r - 1.0 / p
@@ -122,7 +123,7 @@ def conv_lq(f, g, r, cfg=None, tol=1e-9):
             PrimitiveDistribution(zero, r, _norm=0.0),
             {"young_bound": 0.0, "cauchy_tail": [], "density": lambda x: 0.0},
         )
-    H, err = _conv_primitive(f.F, g, cfg, tol)
+    H, err = _conv_primitive(f.F, g, cfg, 10.0 * cfg.abs_tol if tol is None else tol)
     dist = PrimitiveDistribution(H, r, cfg)
     tails = [(n, m, f.norm * dq) for (n, m), dq in zip(_TAIL_PAIRS, tail_norms)]
 
@@ -154,8 +155,9 @@ def _try_diff(e):
         return None
 
 
-def star(f, g, cfg=None, tol=5e-10):
-    """f star g for f, g in L'^1: the distribution with primitive F * G."""
+def star(f, g, cfg=None, tol=None):
+    """f star g for f, g in L'^1: the distribution with primitive F * G,
+    sampled to ``tol``, by default 5 abs_tol of the configuration."""
     if f.p != 1.0 or g.p != 1.0:
         raise ExponentError("star needs both factors in L'^1")
     cfg = _config_for(cfg or f._cfg, f.osc_wavelength or g.osc_wavelength)
@@ -163,7 +165,7 @@ def star(f, g, cfg=None, tol=5e-10):
         zero = parse_expr("0*indicator(0,1)")
         return ConvolutionResult("star", PrimitiveDistribution(zero, 1.0, _norm=0.0),
                                  {"density": lambda x: 0.0})
-    H, err = _conv_primitive(f.F, g.F, cfg, tol)
+    H, err = _conv_primitive(f.F, g.F, cfg, 5.0 * cfg.abs_tol if tol is None else tol)
     dist = PrimitiveDistribution(H, 1.0, cfg)
     Gp = _try_diff(g.F)
     density = None if Gp is None else ConvolutionValues(f.F, Gp, cfg, "convolution").at

@@ -17,7 +17,6 @@ import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import EvalDomainError, JetError, LprimError
 
@@ -263,13 +262,19 @@ class Pow(Node):
         return self._rebuild(s(self.base), self.expo)
 
 
+def _erf(x):
+    from scipy.special import erf  # loaded on the first erf node evaluated
+
+    return erf(x)
+
+
 _UNARY_EV = {
     "exp": np.exp,
     "log": np.log,
     "sin": np.sin,
     "cos": np.cos,
     "atan": np.arctan,
-    "erf": _sp.erf,
+    "erf": _erf,
     "sqrt": np.sqrt,
     "abs": np.abs,
     "sgn": np.sign,
@@ -675,11 +680,13 @@ def _own_points(node):
     elif isinstance(node, Wrapped) and node.cantor_level:
         kinks.update((0.0, 1.0))
     elif isinstance(node, Piecewise):
+        # x against a constant side: a Const, or one negated or scaled
         for c, _ in node.branches:
-            if isinstance(c.lhs, Var) and isinstance(c.rhs, Const):
-                kinks.add(c.rhs.v)
-            elif isinstance(c.rhs, Var) and isinstance(c.lhs, Const):
-                kinks.add(c.lhs.v)
+            for var, side in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
+                if isinstance(var, Var):
+                    v, m = _scaled(side)
+                    if m is None:
+                        kinks.add(v + 0.0)  # + 0.0: the kink 0 without a sign
     return sing, kinks
 
 

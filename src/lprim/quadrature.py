@@ -34,8 +34,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import binom
-from scipy.special import spherical_jn as _sp_spherical_jn
 
 from .errors import ConvergenceError, IntegrabilityError, LprimError
 from .expr import decay_centres, decay_mul, growth
@@ -546,6 +544,15 @@ _SS_NODES = 8  # Gauss-Legendre samples of h on a cell
 _SS_TERMS = 17  # binomial terms in sigma: the rest is below 8^-17 of a cell
 
 
+def binomials(r, m):
+    """binom(r, j) for j = 0..m: exact for an integer r >= 0 (math.comb),
+    and for real r the cumulative product of (r - j)/(j + 1)."""
+    if r >= 0 and float(r).is_integer():
+        return np.array([math.comb(int(r), j) for j in range(m + 1)], dtype=float)
+    j = np.arange(m, dtype=float)
+    return np.cumprod(np.concatenate(([1.0], (r - j) / (j + 1.0))))
+
+
 @functools.cache
 def cantor_moments(K, N):
     """M[k, n] = integral over [0, 1] of v^k sigma(t)^n dt, v = 2t - 1, k <= K,
@@ -556,8 +563,8 @@ def cantor_moments(K, N):
     find the moments of the Cantor measure)."""
     M = np.zeros((K + 1, N + 1))
     for n, k in np.ndindex(N + 1, K + 1):
-        i, bn = np.arange(k + 1), binom(n, np.arange(n + 1))
-        bk = binom(k, i) * 2.0 ** (k - i)
+        i, bn = np.arange(k + 1), binomials(n, n)
+        bk = binomials(k, k) * 2.0 ** (k - i)
         outer = (bk * (-1.0) ** (k - i)) @ M[:k + 1, n] + bk @ M[:k + 1, :n + 1] @ bn
         middle = (1 + (-1) ** k) / (2 * (k + 1))
         M[k, n] = (middle + outer) / (2.0 ** n * 3.0 ** (k + 1) - 2.0)
@@ -584,7 +591,8 @@ def _self_similar(similar, fn, owner, a, b, cfg):
     max|h|.  A cell splits in thirds while its error exceeds its share."""
     (r, sigma), n, level = similar, owner.size, similar[1].cantor_level
     v, mono, M = _ss_tables()
-    coef, rest = binom(r, np.arange(_SS_TERMS)), abs(binom(r, _SS_TERMS))
+    coef = binomials(r, _SS_TERMS)
+    coef, rest = coef[:-1], abs(coef[-1])
     value, err, deep = np.zeros(n), np.zeros(n), np.full(n, 1.0 / 16.0)
     tiny = 3.0 ** -cfg.max_depth  # the narrowest cell that splits
     leaves = np.array([np.arange(n), a, b - a, np.zeros(n), np.ones(n)])  # j, x0, w, c, s
@@ -702,6 +710,27 @@ def _tails(fam, r, cfg):
     return tails.owners(owner, n)
 
 
+# (2k)!/B_2k, k = 1..12: the Euler-Maclaurin terms of Cephes' zeta.c
+_EM_A = np.array([12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+                  7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+                  -4.5979787224074726105e15, 1.8152105401943546773e17,
+                  -7.1661652561756670113e18])
+
+
+def hurwitz_zeta(beta, q):
+    """zeta(beta, q) = sum over k >= 0 of (q + k)^-beta, for a scalar
+    beta > 1 and q > 0, by Cephes' scheme: the first nine terms, summed
+    smallest first, and Euler-Maclaurin from w = q + 9 with 12 Bernoulli
+    terms, c_i w^(-beta-2i-1) with c_i = beta (beta+1)...(beta+2i) / A_i,
+    summed by Horner's rule in w^-2."""
+    q = np.asarray(q, dtype=float)
+    terms = (q[..., None] + np.arange(10.0)) ** -beta
+    w, b = q + 9.0, terms[..., -1]
+    c = np.cumprod(beta + np.arange(24.0))[0::2] / _EM_A
+    em = np.polynomial.polynomial.polyval(w ** -2.0, c)
+    return terms[..., -2::-1].sum(axis=-1) + b * (w / (beta - 1.0) + 0.5 + em / w)
+
+
 def _periodic_power_tails(fam, r, beta, lam, cfg):
     """Tails of an oscillatory power-decay integrand.
 
@@ -712,8 +741,6 @@ def _periodic_power_tails(fam, r, beta, lam, cfg):
     a doubling cross-check (the tail from r against the shell [r, 2r] plus
     the tail from 2r) supplies the error estimate.
     """
-    from scipy.special import zeta
-
     n = r.size
     owner = np.tile(np.arange(n), 4)
     sign = np.tile(np.repeat([1.0, -1.0], n), 2)
@@ -721,7 +748,7 @@ def _periodic_power_tails(fam, r, beta, lam, cfg):
 
     def fn(j, us):
         q = (start[j] + us) / lam
-        vals = fam.fn(owner[j], sign[j] * (start[j] + us)) * q**beta * zeta(beta, q)
+        vals = fam.fn(owner[j], sign[j] * (start[j] + us)) * q**beta * hurwitz_zeta(beta, q)
         return np.where(np.isfinite(vals), vals, 0.0)
 
     m = 4 * n
@@ -1058,6 +1085,17 @@ def _fl_groups(lo, hi, coef):
     weighted = coef * _FL_MOMENT
     widths = np.unique(half)
     return widths, [(mid[sel], weighted[sel]) for sel in (half == h for h in widths)]
+
+
+def _sp_spherical_jn(k, z):
+    """The spherical Bessel functions j_k(z), k an integer array: scipy's
+    ufunc at |z|, times (-1)^k where z < 0 (j_k(-z) = (-1)^k j_k(z)), as
+    the public spherical_jn computes them, without its array-API wrapper.
+    scipy.special is loaded on the first call."""
+    from scipy.special._ufuncs import _spherical_jn
+
+    jn = _spherical_jn(k, np.abs(z))
+    return np.where((z < 0.0) & (k % 2 == 1), -jn, jn)
 
 
 def _filon_sum(groups, s):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError
 from .expr import FunctionExpr, Wrapped
@@ -49,6 +48,8 @@ def _cubic(x, y):
     rhs[0] = ((dx[0] + 2 * w) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / w
     w = x[-1] - x[-3]
     rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * w + dx[-1]) * dx[-2] * slope[-1]) / w
+    from scipy.linalg.lapack import dgtsv  # loaded on the first spline solve
+
     *_, s, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
     if info:
         raise ConvergenceError("sample_function: singular spline system")

@@ -252,16 +252,35 @@ def _fresh_interpreter_env():
     return env
 
 
-def test_import_graph():
-    # scipy.interpolate imports scipy.optimize: both cost start-up time that
-    # the package does not need
-    probe = ("import sys, lprim; print(*(m for m in ('scipy.optimize', 'scipy.interpolate') "
-             "if m in sys.modules))")
+def _modules_after(code, names):
+    """(exit code, the modules among ``names`` loaded) after running ``code``
+    in a fresh interpreter."""
+    probe = f"import sys\n{code}\nprint(*(m for m in {names!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=120, env=_fresh_interpreter_env())
-    loaded = proc.stdout.split()
-    ok = proc.returncode == 0 and not loaded
-    report("import-graph", ok, f"exit={proc.returncode} scipy modules: {loaded or 'none'}")
+    return proc.returncode, proc.stdout.split()
+
+
+_NORM_AND_EXTENSION = """import lprim
+from lprim import HalfPlanePoint, NthDistribution, extension_n, lp_norm, parse_expr
+lp_norm(parse_expr("exp(-x^2)"), 2.0)
+extension_n(NthDistribution(parse_expr("exp(-x^2)"), 2.0, 1), HalfPlanePoint(0.3, 0.5))"""
+
+
+def test_import_graph():
+    # scipy.interpolate imports scipy.optimize; they, scipy.special and
+    # scipy.linalg cost start-up time that importing the package does not
+    # need, and scipy.special is not needed for a norm or a Poisson value
+    probes = [
+        ("import", "import lprim",
+         ("scipy.optimize", "scipy.interpolate", "scipy.special", "scipy.linalg")),
+        ("norm+extension", _NORM_AND_EXTENSION, ("scipy.special",)),
+    ]
+    results = [(name, *_modules_after(code, names)) for name, code, names in probes]
+    ok = all(code == 0 and not loaded for _, code, loaded in results)
+    report("import-graph", ok, "; ".join(
+        f"{name}: exit={code} scipy modules: {loaded or 'none'}"
+        for name, code, loaded in results))
 
 
 def test_verify_all():

@@ -272,6 +272,18 @@ def test_cli_tolerances_reach_product_norm(monkeypatch, argv, norm_row):
     assert seen == [QuadConfig.from_env(rel_tol=1e-4)] * len(seen)
 
 
+@pytest.mark.parametrize("argv,norm_row", [
+    (("conv", "--p", "1", "--r", "1", "--F", "exp(-x^2)", "--g=exp(-x^2)"), "norm_r"),
+    (("star", "--F", "exp(-x^2)", "--G=exp(-x^2)"), "norm_1"),
+], ids=["conv", "star"])
+def test_loose_tolerances_reach_the_product_sampling(argv, norm_row):
+    # the product is sampled to a multiple of abs_tol, not to a fixed 1e-9,
+    # which the spline cannot meet on integrals certified to 1e-6
+    report, code = run(*argv, "--abs-tol", "1e-6", "--rel-tol", "1e-5")
+    assert code == 0
+    assert rows(report)[norm_row] == pytest.approx(math.pi, rel=1e-5)
+
+
 @pytest.mark.parametrize("argv", [
     ("pair", "--p", "2", "--n", "2", "--F", "exp(-x^2)", "--g", "exp(-x^2)"),
     ("poisson", "--F", "exp(-x^2)", "--x", "0.3", "--y", "0.5", "--n", "2"),

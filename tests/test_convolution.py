@@ -1,4 +1,8 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -210,3 +214,29 @@ class TestIncompatibility:
     def test_products_differ(self):
         fg, fsg, gap = incompatibility_exhibit()
         assert gap > 0.1
+
+
+_WARM_PRODUCTS = """import resource
+from lprim import PrimitiveDistribution, conv_lq, parse_expr
+f, g = PrimitiveDistribution(parse_expr("indicator(0,1)"), 1.0), parse_expr("exp(-x^2)")
+for _ in range(2):
+    conv_lq(f, g, 1.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    conv_lq(f, g, 1.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_warm_products_reuse_the_heap():
+    # the numpy temporaries of a warm request come from heap pages freed by
+    # the last one, not from fresh pages (about 1,500 faults for these
+    # three requests when glibc trims the heap after each); a fresh
+    # interpreter, as the imports of a test run move glibc's thresholds
+    src = os.path.dirname(os.path.dirname(os.path.abspath(convolution.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _WARM_PRODUCTS], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200

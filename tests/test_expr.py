@@ -75,6 +75,19 @@ class TestMetadata:
         e = parse_expr("exp(-x^2)") * parse_expr("(x^2+1)^(-1)")
         assert e.decay[0] == "gaussian"
 
+    @pytest.mark.parametrize("src,kinks", [
+        ("piecewise(x < -1.3 -> 0, x < 1 -> 1, else -> 0)", (-1.3, 1.0)),
+        ("piecewise(x < -2 -> 0, else -> 1)", (-2.0,)),
+        ("piecewise(-2*0.25 > x -> 0, else -> 1)", (-0.5,)),
+    ])
+    def test_piecewise_thresholds_with_constant_sides(self, src, kinks):
+        # a negated or scaled constant is a threshold as a bare one is
+        assert parse_expr(src).kinks == kinks
+
+    def test_negative_threshold_splits_the_line_integral(self):
+        res = integrate_line(parse_expr("piecewise(x < -1.3 -> 0, x < 1 -> 1, else -> 0)"))
+        assert res.converged and res.value == 2.3
+
     def test_declared_singularity(self):
         e = parse_expr("sing(log(abs(x)), 0)")
         assert 0.0 in e.singularities

@@ -419,3 +419,40 @@ class TestFamilies:
                 part = run(xs[start:start + size])
                 np.testing.assert_array_equal(part.value, full.value[start:start + size])
                 np.testing.assert_array_equal(part.err_est, full.err_est[start:start + size])
+
+
+class TestSpecialFunctions:
+    """The special functions quadrature computes itself, against mpmath at
+    30 digits, and the Filon moments against scipy's public spherical_jn."""
+
+    @pytest.mark.parametrize("beta", [1.05, 1.5, 2.0, 3.0, 6.0])
+    def test_hurwitz_zeta(self, beta):
+        mpmath = pytest.importorskip("mpmath")
+        qs = np.concatenate([np.geomspace(0.5, 1e4, 80), np.linspace(11.0, 23.0, 25)])
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.zeta(beta, mpmath.mpf(q))) for q in qs])
+        # w = q + 9 is rounded before w^(1 - beta): up to beta/2 ulps more
+        assert np.all(np.abs(quadrature.hurwitz_zeta(beta, qs) - want)
+                      <= 6 * np.spacing(want))
+
+    def test_binomials_of_integers_are_exact(self):
+        mpmath = pytest.importorskip("mpmath")
+        for n in range(41):
+            want = [float(mpmath.binomial(n, j)) for j in range(n + 1)]
+            assert quadrature.binomials(n, n).tolist() == want
+
+    @pytest.mark.parametrize("r", [0.5, 1.2345, 1.5, 2.25, 2.7, 3.3, 7.1])
+    def test_binomials_of_reals(self, r):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.binomial(mpmath.mpf(r), j)) for j in range(18)])
+        got = quadrature.binomials(r, 17)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    def test_filon_moments_match_spherical_jn(self):
+        from scipy.special import spherical_jn
+
+        z = np.concatenate([-np.geomspace(1e-3, 2e3, 60), [-0.0, 0.0],
+                            np.geomspace(1e-3, 2e3, 60)])[:, None, None]
+        k = np.arange(quadrature._FL_N)
+        assert np.array_equal(quadrature._sp_spherical_jn(k, z), spherical_jn(k, z))
