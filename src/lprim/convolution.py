@@ -3,7 +3,7 @@
 * f * G (distribution with a multiplier): a bounded function, evaluated
   pointwise as integral of F(x-y) g(y) dy.
 * f * g (distribution with an L^q function, Young exponents): an element
-  of L'^r whose primitive is F * g, carried as a sampled spline (with
+  of L'^r whose primitive is F * g, carried as sampled cubic panels (with
   direct quadrature in unbounded tails).
 * f `star` g (both in L'^1): an element of L'^1 with primitive F * G; the
   product under which L'^1 is a Banach algebra.
@@ -51,11 +51,11 @@ class ConvolutionResult:
 def _conv_primitive(F, g, cfg, tol):
     """F * g as a FunctionExpr, plus its sampling error.
 
-    The product is sampled as a spline on [lo, hi]: the sum of the supports,
-    or |x| <= rF + rg when a factor has unbounded support.  In that case
+    The product is sampled as cubic panels on [lo, hi]: the sum of the
+    supports, or |x| <= rF + rg when a factor has unbounded support.  Then
     values outside [lo, hi] come from direct quadrature and the tails
     decay like the weaker of F and g.  The sampling error adds the largest
-    error estimate of the sampled integrals to the spline's.
+    error estimate of the sampled integrals to the panels' check error.
     """
     rF, rg = (max(map(abs, extent(e, 10.0))) for e in (F, g))
     compact = F.support is not None and g.support is not None

@@ -680,13 +680,12 @@ def _own_points(node):
     elif isinstance(node, Wrapped) and node.cantor_level:
         kinks.update((0.0, 1.0))
     elif isinstance(node, Piecewise):
-        # x against a constant side: a Const, or one negated or scaled
+        # two sides affine in x (x, a constant, maximum(3*x, 1)'s sides)
+        # cross at one point, unless they are parallel
         for c, _ in node.branches:
-            for var, side in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
-                if isinstance(var, Var):
-                    v, m = _scaled(side)
-                    if m is None:
-                        kinks.add(v + 0.0)  # + 0.0: the kink 0 without a sign
+            la, lb = _line(c.lhs), _line(c.rhs)
+            if la is not None and lb is not None and la[0] != lb[0]:
+                kinks.add(_root((la[0] - lb[0], la[1] - lb[1])))
     return sing, kinks
 
 

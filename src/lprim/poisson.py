@@ -168,8 +168,8 @@ def _tail_decay(F):
 
 
 def _extension_expr(F, y, n=0, cfg=None, spline_tol=1e-7):
-    """extension_expr and its error estimate: the spline's error plus the
-    largest error estimate of the integrals it was sampled from."""
+    """extension_expr and its error estimate: the panels' check error plus
+    the largest error estimate of the integrals it was sampled from."""
     cfg = cfg or DEFAULT_CONFIG
     y = float(y)
     if y <= 0:
@@ -184,9 +184,9 @@ def _extension_expr(F, y, n=0, cfg=None, spline_tol=1e-7):
 
 
 def extension_expr(F, y, n=0, cfg=None, spline_tol=1e-7):
-    """U_y (or its n-th x-derivative) as a FunctionExpr: a sampled spline
-    at kernel-scale spacing <= y/4 near the data, direct quadrature in the
-    tails, with the kernel's power-2 decay recorded."""
+    """U_y (or its n-th x-derivative) as a FunctionExpr: cubic panels
+    at most 3y/4 wide, the kernel's scale, near the data, direct
+    quadrature in the tails, with the kernel's power-2 decay recorded."""
     return _extension_expr(F, y, n, cfg, spline_tol)[0]
 
 

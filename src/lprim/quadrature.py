@@ -242,6 +242,9 @@ def _family(fn, n, factors, extra=(), line=False, decay=None):
         if xs is None:
             sing, cuts, far = sing + s, cuts + c, far + p
         else:
+            if line and f.decay[0] in ("gaussian", "exponential"):
+                # the centre 0 that the tag leaves implicit, moved to x_i
+                c, p = c + (0.0,), p + (0.0,)
             moved.append((xs, s, c, p))
         if line and f.support is not None:
             a, b = f.support if xs is None else (xs - f.support[1], xs - f.support[0])
@@ -310,7 +313,7 @@ def _gk_panels(fn, owner, lo, hi, rounding):
     # gemv (vals @ WGK) rounds a row differently with the number of rows
     # in the call, and a family member's value must not depend on which
     # other members share its evaluation (sample_function batches all
-    # its segments into one call per round).
+    # its live panels into one call per round).
     k, g = np.einsum("ij,kj->ki", vals, _W_KG) * h
     err = np.abs(k - g)
     out = (k, err)

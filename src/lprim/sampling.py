@@ -1,18 +1,12 @@
-"""Quadrature-backed functions: adaptive sampling plus spline interpolation.
+"""Quadrature-backed functions: adaptive sampling into local cubic panels.
 
 Convolutions and Poisson extensions rarely have closed forms; they are
-represented as cubic splines over per-segment adaptive samples, with the
-segments cut at the points where the target can lose smoothness.  The
-spline error is driven below a requested tolerance by doubling the sample
-density and testing the interpolant against fresh midpoint evaluations.
-All segments refine together, with one evaluator call per round for the
-midpoints of every segment still above the tolerance.
-
-Each segment's interpolant is the not-a-knot cubic spline through its
-samples.  Its slopes come from one LAPACK tridiagonal solve (`dgtsv`) per
-refinement round, on the system scipy's cubic spline hands to the same
-routine, and the pieces, with scipy's coefficients, are summed in the order
-of scipy's `PPoly` (`_cubic_sum`): scipy's spline values to the last bit.
+represented as piecewise cubics over adaptive samples, on segments cut
+where the target can lose smoothness.  A panel [a, a + h] holds samples
+at t = 0, 1/6, ..., 1 of its width; its cubic runs through t = 0, 1/3,
+2/3, 1 and is checked at 1/6, 1/2, 5/6, the midpoints of its thirds.  A
+panel above the tolerance splits in thirds, which keep its samples and
+need four new ones each.  All live panels refine in one call per round.
 """
 
 from __future__ import annotations
@@ -24,42 +18,22 @@ import numpy as np
 from .errors import ConvergenceError
 from .expr import FunctionExpr, Wrapped
 
+_NEW = np.array([1.0, 2.0, 4.0, 5.0]) / 6.0  # the offsets a child lacks
+_CHECK = np.array([1.0, 3.0, 5.0]) / 6.0
+_WIDTH = 64.0 * np.finfo(float).eps  # rounding width, relative to max(1, |a|)
 
-def _cubic(x, y):
-    """Coefficients (highest power first, as in PPoly) of the not-a-knot
-    cubic spline through (x, y); x strictly increasing with >= 4 points."""
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    n = len(x)
-    # scipy's tridiagonal system: rows 1..n-2 match first derivatives,
-    # rows 0 and n-1 are the not-a-knot conditions
-    d = np.empty(n)
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    d[0], d[-1] = dx[1], dx[-2]
-    du = np.empty(n - 1)
-    du[1:] = dx[:-1]
-    du[0] = x[2] - x[0]
-    dl = np.empty(n - 1)
-    dl[:-1] = dx[1:]
-    dl[-1] = x[-1] - x[-3]
-    rhs = np.empty(n)
-    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    w = x[2] - x[0]
-    rhs[0] = ((dx[0] + 2 * w) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / w
-    w = x[-1] - x[-3]
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * w + dx[-1]) * dx[-2] * slope[-1]) / w
-    from scipy.linalg.lapack import dgtsv  # loaded on the first spline solve
 
-    *_, s, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
-    if info:
-        raise ConvergenceError("sample_function: singular spline system")
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+def _coefs(y, h):
+    """Coefficients (highest power first, as in PPoly) of the cubics through the
+    rows of y at offsets 0, h/3, 2h/3, h: Newton's forward form in u = 3s/h."""
+    d1, d2, d3 = (np.diff(y, k, axis=1)[:, 0] for k in (1, 2, 3))
+    d = 3.0 / h
+    return np.stack((d3 / 6.0 * d ** 3, (d2 - d3) / 2.0 * d ** 2,
+                     (d1 - d2 / 2.0 + d3 / 3.0) * d, y[:, 0]))
 
 
 def _cubic_sum(c, s):
-    """c[3] + c[2] s + c[1] s^2 + c[0] s^3 at offsets s, summed term by term
-    (not nested as by Horner's rule) as PPoly sums it."""
+    """c[3] + c[2] s + c[1] s^2 + c[0] s^3 at offsets s."""
     return c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
 
 
@@ -78,78 +52,66 @@ class _Spline:
         return np.where(inside, _cubic_sum(self.coefs.take(i, axis=1), s), 0.0)
 
 
-def sample_function(
-    evaluate,
-    lo,
-    hi,
-    breakpoints=(),
-    tol=1e-9,
-    initial=16,
-    max_points=4096,
-    min_spacing=None,
-):
+def sample_function(evaluate, lo, hi, breakpoints=(), tol=1e-9, max_points=4096,
+                    min_spacing=None):
     """Adaptive sampled representation on [lo, hi] of the function that
-    ``evaluate`` computes on whole arrays of points.
+    ``evaluate`` computes on whole arrays of points: (callable, err_est),
+    err_est being the largest check error of the final panels.
 
-    ``breakpoints`` are interior points where smoothness may fail; each
-    segment between them gets its own spline.  Returns (callable, err_est).
-    ``min_spacing`` forces at least that sample density (Poisson kernels
-    need spacing tied to the kernel scale).  Raises ConvergenceError when
-    a segment reaches ``max_points`` with its spline error above ``tol``,
-    or when a sample is not finite.
-
-    The segments are refined together: one ``evaluate`` call takes the
-    initial grids of all segments, and each later call the midpoints of
-    every segment still refining, so there are 1 + (the deepest segment's
-    rounds) calls.  Each segment keeps its own stopping rule, so when
-    ``evaluate`` gives each point the value it would give it alone, the
-    samples and the spline are those of segment-by-segment refinement.
+    ``breakpoints`` cut [lo, hi] into segments.  A segment starts with
+    max(5, width / (3 min_spacing)) panels, at most ``max_points`` samples
+    (Poisson kernels need spacing tied to the kernel scale).  Raises
+    ConvergenceError naming the segment when a sample is not finite, or
+    when a panel above ``tol`` is at rounding width or would take its
+    segment past ``max_points`` samples.  One ``evaluate`` call takes the
+    start grids of all segments, each later one the new samples of a round.
     """
     if hi <= lo:
         raise ConvergenceError("sample_function needs hi > lo")
-    if initial < 3 or max_points < 3:
-        raise ConvergenceError("sample_function needs initial >= 3 and max_points >= 3")
     cuts = sorted({float(lo), float(hi)} | {float(b) for b in breakpoints if lo < b < hi})
     grids = []
     for a, b in zip(cuts[:-1], cuts[1:]):
-        n = initial
-        if min_spacing is not None:
-            n = max(n, int(math.ceil((b - a) / min_spacing)))
-        grids.append(np.linspace(a, b, min(n, max_points) + 1))
-    vals = _split(evaluate(np.concatenate(grids)), grids)
-    errs = [math.inf] * len(grids)
-    live = list(range(len(grids)))
-    while live:
-        mids = [0.5 * (grids[i][:-1] + grids[i][1:]) for i in live]
-        mvals = _split(evaluate(np.concatenate(mids)), mids)
-        for i, m, mv in zip(live, mids, mvals):
-            xs, a, b = grids[i], cuts[i], cuts[i + 1]
-            guess = _cubic_sum(_cubic(xs, vals[i]), m - xs[:-1])
-            err = errs[i] = float(np.max(np.abs(guess - mv)))
-            if not math.isfinite(err):
-                raise ConvergenceError(
-                    f"sample_function: non-finite sample on segment [{a:g}, {b:g}]")
-            # interleave the midpoints so the refined grid reuses all values
-            xs = grids[i] = np.empty(2 * len(xs) - 1)
-            xs[0::2] = np.linspace(a, b, len(mv) + 1)
-            xs[1::2] = m
-            vv = np.empty_like(xs)
-            vv[0::2] = vals[i]
-            vv[1::2] = mv
-            vals[i] = vv
-            if len(xs) > max_points and err > tol:
-                raise ConvergenceError(
-                    f"sample_function: segment [{a:g}, {b:g}] stopped at {len(xs)} points "
-                    f"(max_points {max_points}) with spline error {err:.3g} > tol {tol:g}")
-        live = [i for i in live if errs[i] > tol]
-    knots = [cuts[:1]] + [xs[1:] for xs in grids]
-    coefs = [_cubic(xs, v) for xs, v in zip(grids, vals)]
-    return _Spline(np.concatenate(knots), np.concatenate(coefs, axis=1)), max(errs)
-
-
-def _split(values, parts):
-    """``values`` cut into consecutive pieces as long as the arrays of ``parts``."""
-    return np.split(values, np.cumsum([len(p) for p in parts[:-1]]))
+        n = 5 if min_spacing is None else max(5, math.ceil((b - a) / (3.0 * min_spacing)))
+        grids.append(np.linspace(a, b, 6 * max(1, min(n, (max_points - 1) // 6)) + 1))
+    count = np.array([len(g) for g in grids])
+    vals = np.split(evaluate(np.concatenate(grids)), np.cumsum(count[:-1]))
+    # the panels refining: left ends, widths, segments and samples, 7 a row
+    a = np.concatenate([g[:-1:6] for g in grids])
+    h = np.concatenate([g[6::6] - g[:-1:6] for g in grids])
+    seg = np.repeat(np.arange(len(grids)), count // 6)
+    y = np.concatenate([np.lib.stride_tricks.sliding_window_view(v, 7)[::6] for v in vals])
+    done = []  # (left ends, coefficients, errors) of the panels within tol
+    while True:
+        c = _coefs(y[:, ::2], h)
+        err = np.abs(_cubic_sum(c[:, :, None], h[:, None] * _CHECK) - y[:, 1::2]).max(axis=1)
+        live = ~(err <= tol)
+        done.append((a[~live], c[:, ~live], err[~live]))
+        a, h, seg, y, err = a[live], h[live], seg[live], y[live], err[live]
+        if not len(a):
+            break
+        more = count + 12 * np.bincount(seg, minlength=len(count))
+        tiny = h <= _WIDTH * np.maximum(1.0, np.abs(a))
+        stop = ~np.isfinite(err) | tiny | (more[seg] > max_points)
+        if stop.any():
+            j = int(np.argmax(stop))
+            where = f"sample_function: segment [{cuts[seg[j]]:g}, {cuts[seg[j] + 1]:g}]"
+            if not math.isfinite(err[j]):
+                raise ConvergenceError(f"{where} has a non-finite sample")
+            why = (f"reached rounding width {h[j]:.3g} at {a[j]:.17g}" if tiny[j] else
+                   f"stopped at {count[seg[j]]} points (max_points {max_points})")
+            raise ConvergenceError(f"{where} {why} with error {err[j]:.3g} > tol {tol:g}")
+        count = more
+        # child k of [a, a + h] is its k-th third: the parent's samples 2k,
+        # 2k+1, 2k+2 at the child's offsets 0, 1/2, 1, and four new ones
+        y, old = np.empty((3 * len(a), 7)), y
+        y[:, ::3] = old[:, [[0, 1, 2], [2, 3, 4], [4, 5, 6]]].reshape(-1, 3)
+        h = np.repeat(h / 3.0, 3)
+        a = np.repeat(a, 3) + h * np.tile([0.0, 1.0, 2.0], len(a))
+        seg = np.repeat(seg, 3)
+        y[:, [1, 2, 4, 5]] = evaluate((a[:, None] + h[:, None] * _NEW).ravel()).reshape(-1, 4)
+    left, coefs, errs = (np.concatenate(p, axis=-1) for p in zip(*done))
+    order = np.argsort(left, kind="stable")
+    return _Spline(np.append(left[order], cuts[-1]), coefs[:, order]), float(errs.max())
 
 
 def sampled_expr(fn, lo, hi, kinks=(), name="<sampled>", outside=None, decay=None):

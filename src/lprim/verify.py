@@ -147,7 +147,7 @@ def suite_conv_young(tol=1e-6, pairs=50, seed=3):
         r = 1.0 / (1.0 / p + 1.0 / q - 1.0)
         f = PrimitiveDistribution(parse_expr(rng.choice(_YOUNG_PRIMITIVES)), p)
         g = parse_expr(rng.choice(_YOUNG_DENSITIES))
-        res = conv_lq(f, g, r, tol=1e-7)
+        res = conv_lq(f, g, r)
         margin = res.payload.norm - res.diagnostics["young_bound"]
         worst = max(worst, margin)
     records.append(CheckRecord("conv-young", f"{pairs}-random-pairs-worst-margin",

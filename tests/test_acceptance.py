@@ -267,14 +267,25 @@ lp_norm(parse_expr("exp(-x^2)"), 2.0)
 extension_n(NthDistribution(parse_expr("exp(-x^2)"), 2.0, 1), HalfPlanePoint(0.3, 0.5))"""
 
 
+_PRODUCTS = """import lprim
+from lprim import PrimitiveDistribution, boundary_gaps, conv_lq, parse_expr, star
+f = PrimitiveDistribution(parse_expr("indicator(0,1)"), 1.0)
+g = PrimitiveDistribution(parse_expr("exp(-x^2)"), 1.0)
+conv_lq(f, parse_expr("exp(-abs(x))"), 1.0)
+star(f, g)
+boundary_gaps(g, [1.0, 0.3])"""
+
+
 def test_import_graph():
     # scipy.interpolate imports scipy.optimize; they, scipy.special and
     # scipy.linalg cost start-up time that importing the package does not
-    # need, and scipy.special is not needed for a norm or a Poisson value
+    # need, scipy.special is not needed for a norm or a Poisson value, and
+    # the sampled products and extensions need no scipy.linalg
     probes = [
         ("import", "import lprim",
          ("scipy.optimize", "scipy.interpolate", "scipy.special", "scipy.linalg")),
         ("norm+extension", _NORM_AND_EXTENSION, ("scipy.special",)),
+        ("products", _PRODUCTS, ("scipy.linalg",)),
     ]
     results = [(name, *_modules_after(code, names)) for name, code, names in probes]
     ok = all(code == 0 and not loaded for _, code, loaded in results)

@@ -75,6 +75,13 @@ class TestExitCodes:
         assert code == 0
         assert rows(report)["norm"] == pytest.approx(want, abs=1e-10)
 
+    def test_conv_of_gaussians(self):
+        # e^{-x^2} * e^{-x^2} = sqrt(pi/2) e^{-x^2/2}, whose L^1 norm is pi
+        report, code = run("conv", "--p", "1", "--r", "1", "--F", "exp(-x^2)",
+                           "--g=exp(-x^2)", "--x", "0")
+        assert code == 0
+        assert rows(report)["norm_r"] == pytest.approx(math.pi, abs=1e-8)
+
     def test_usage_error(self):
         report, code = run("norm", "--p", "2")
         assert code == 1

@@ -20,6 +20,7 @@ from lprim.expr import FunctionExpr
 from lprim.lpspace import Multiplier, PrimitiveDistribution
 from lprim.parser import parse_expr
 from lprim.quadrature import DEFAULT_CONFIG, lp_norm
+from lprim.verify import _YOUNG_EXPONENTS
 
 
 def dist(src, p):
@@ -75,6 +76,19 @@ class TestYoungProduct:
         assert res.payload.norm <= res.diagnostics["young_bound"] + 1e-8
         tails = [t for (_, _, t) in res.diagnostics["cauchy_tail"]]
         assert tails[0] >= tails[1] >= tails[2]
+
+    @pytest.mark.parametrize("p,q", _YOUNG_EXPONENTS)
+    @pytest.mark.parametrize("g_src", ["exp(-x^2)", "-2*x*exp(-x^2)", "exp(-abs(x))"])
+    @pytest.mark.parametrize("F_src", ["exp(-x^2)", "x*exp(-x^2)"])
+    def test_gaussian_type_products(self, F_src, g_src, p, q):
+        # smooth products of verify's Young pools at the default configuration
+        r = 1.0 / (1.0 / p + 1.0 / q - 1.0)
+        res = conv_lq(dist(F_src, p), parse_expr(g_src), r)
+        assert res.payload.norm <= res.diagnostics["young_bound"] + 1e-8
+        if F_src == g_src == "exp(-x^2)":
+            # e^{-x^2} * e^{-x^2} = sqrt(pi/2) e^{-x^2/2}
+            want = math.sqrt(math.pi / 2) * (2 * math.pi / r) ** (1 / (2 * r))
+            assert res.payload.norm == pytest.approx(want, rel=1e-8)
 
     def test_bad_exponents_rejected(self):
         f = dist("indicator(0,1)", 3.0)

@@ -10,7 +10,7 @@ from lprim.corpus import corpus, tent
 from lprim.errors import JetError, LprimError
 from lprim.expr import FunctionExpr, Wrapped, maximum, minimum
 from lprim.parser import parse_expr
-from lprim.quadrature import integrate_line
+from lprim.quadrature import integrate, integrate_line
 from lprim.parser import parse_expr as P
 
 
@@ -87,6 +87,13 @@ class TestMetadata:
     def test_negative_threshold_splits_the_line_integral(self):
         res = integrate_line(parse_expr("piecewise(x < -1.3 -> 0, x < 1 -> 1, else -> 0)"))
         assert res.converged and res.value == 2.3
+
+    def test_affine_sides_kink_where_they_cross(self):
+        e = minimum(parse_expr("3*x"), parse_expr("1+0*x")) * parse_expr("indicator(0,1)")
+        assert e.kinks == (0.0, 1.0 / 3.0, 1.0)
+        assert integrate(e, 0.0, 1.0).value == pytest.approx(5.0 / 6.0, abs=1e-12)
+        # parallel sides never cross
+        assert maximum(parse_expr("2*x"), parse_expr("2*x+1")).kinks == ()
 
     def test_declared_singularity(self):
         e = parse_expr("sing(log(abs(x)), 0)")
@@ -307,10 +314,11 @@ METADATA_TABLE = [
      (2.0,), (), None, ('none',)),
     ('parse:sgn(x)', lambda: P('sgn(x)'),
      (), (0.0,), None, ('none',)),
+    # two affine sides kink where they cross
     ('op:max(x,0x)', lambda: maximum(P('x'), P('0*x')),
-     (), (), None, ('none',)),
+     (), (0.0,), None, ('none',)),
     ('op:min(x,0x)', lambda: minimum(P('x'), P('0*x')),
-     (), (), None, ('none',)),
+     (), (0.0,), None, ('none',)),
     ('op:min(gauss,box)', lambda: minimum(P('exp(-x^2)'), P('indicator(0,1)')),
      (), (0.0, 1.0), None, ('gaussian',)),
     ('op:max(box,box2)', lambda: maximum(P('indicator(0,1)'), P('indicator(0.5,2)')),

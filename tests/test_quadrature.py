@@ -203,6 +203,20 @@ class TestDecayCentres:
         assert fam.value == pytest.approx(math.sqrt(math.pi / 2) * np.exp(-xs**2 / 2),
                                           rel=1e-12, abs=1e-14)
 
+    def test_convolution_splits_at_the_moved_kernel_centre(self):
+        # K(x - y) with K = e^{-x^2} peaks at y = x, which no feature point
+        # marks: the family splits there and widens its radius to cover it
+        def exact(x):  # e^{-x^2} * e^{-|x|}
+            return SQRT_PI / 2 * math.exp(0.25) * (
+                math.exp(-x) * math.erfc(0.5 - x) + math.exp(x) * math.erfc(0.5 + x))
+
+        xs = np.array([0.0, 5.0, 17.86, 30.0])
+        fam = convolve(parse_expr("exp(-x^2)"), parse_expr("exp(-abs(x))"), xs)
+        assert fam.converged.all()
+        assert fam.value == pytest.approx([exact(x) for x in xs], rel=1e-8, abs=1e-12)
+        flat = convolve(parse_expr("exp(-x^2)"), parse_expr("1+0*x"), np.array([50.0]))
+        assert flat.value[0] == pytest.approx(SQRT_PI, rel=1e-12)
+
     def test_fourier_of_shifted_bump(self):
         # the transform of e^{-(x-50)^2} is sqrt(pi) e^{-s^2/4} e^{-50is}
         s = np.array([1.0, 7.0])
@@ -402,9 +416,9 @@ class TestFamilies:
 
     @pytest.mark.parametrize("family", ["convolve", "angle_integral"])
     def test_owner_value_does_not_depend_on_its_batch(self, family):
-        # sample_function evaluates all its segments' points in one family
-        # call; its splines equal the segment-by-segment ones only if each
-        # owner's value and err_est are the same in every batch, bit for bit
+        # sample_function evaluates all its live panels' points in one
+        # family call; a panel's samples are those it would get alone only
+        # if each owner's value and err_est are the same in every batch
         xs = np.linspace(-3.0, 4.0, 40)
         if family == "convolve":
             F, g = parse_expr("indicator(0,1)"), parse_expr("exp(-x^2)")

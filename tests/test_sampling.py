@@ -1,84 +1,20 @@
-"""The sampling layer against the CubicSpline sampler it replaced.
+"""The sampling layer: local cubic panels against the functions they sample.
 
-`reference_sample_function` is the earlier implementation, kept verbatim:
-one scipy `CubicSpline` per refinement round and per segment, and a
-`_SegmentSpline` that evaluates each segment's spline under its own mask.
-The current sampler refines all segments together, one call per round,
-so it asks for the same points in fewer calls: 1 + the rounds of the
-deepest segment.  It must return the same error estimate and evaluate
-to the same values, bit for bit.
+Each case samples a function, then checks the piecewise cubic against the
+function itself at random and grid points, and the work against the panel
+layout: the start grids in one call, then one call per round holding four
+new samples for each child of each split panel.
 """
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 from lprim.errors import ConvergenceError
 from lprim.parser import parse_expr
 from lprim.quadrature import DEFAULT_CONFIG, ConvolutionValues
 from lprim.sampling import sample_function
-
-
-class _SegmentSpline:
-    """Cubic interpolants per smooth segment, zero outside the domain."""
-
-    def __init__(self, edges, splines, lo, hi):
-        self.edges = np.asarray(edges)
-        self.splines = splines
-        self.lo = lo
-        self.hi = hi
-
-    def __call__(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        idx = np.clip(np.searchsorted(self.edges, xs, side="right") - 1, 0,
-                      len(self.splines) - 1)
-        inside = (xs >= self.lo) & (xs <= self.hi)
-        for k, sp in enumerate(self.splines):
-            m = inside & (idx == k)
-            if m.any():
-                out[m] = sp(xs[m])
-        return out
-
-
-def reference_sample_function(evaluate, lo, hi, breakpoints=(), tol=1e-9, initial=16,
-                              max_points=4096, min_spacing=None):
-    if hi <= lo:
-        raise ConvergenceError("sample_function needs hi > lo")
-    cuts = sorted({float(lo), float(hi)} | {float(b) for b in breakpoints if lo < b < hi})
-    edges = []
-    splines = []
-    worst = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        n = initial
-        if min_spacing is not None:
-            n = max(n, int(math.ceil((b - a) / min_spacing)))
-        n = min(n, max_points)
-        xs = np.linspace(a, b, n + 1)
-        vals = evaluate(xs)
-        err = math.inf
-        while True:
-            mids = 0.5 * (xs[:-1] + xs[1:])
-            mvals = evaluate(mids)
-            spline = CubicSpline(xs, vals)
-            err = float(np.max(np.abs(spline(mids) - mvals)))
-            xs = np.empty(2 * len(xs) - 1)
-            xs[0::2] = np.linspace(a, b, len(mvals) + 1)
-            xs[1::2] = mids
-            vv = np.empty_like(xs)
-            vv[0::2] = vals
-            vv[1::2] = mvals
-            vals = vv
-            if err <= tol or len(xs) > max_points:
-                break
-        splines.append(CubicSpline(xs, vals))
-        edges.append(a)
-        worst = max(worst, err)
-    edges.append(cuts[-1])
-    return _SegmentSpline(edges, splines, lo, hi), worst
 
 
 class Recorder:
@@ -108,7 +44,7 @@ CASES = {
                     {"breakpoints": (0.0, 1.0, -2.0, 5.0), "tol": 1e-8}),
     "min_spacing": (lambda x: np.sin(3.0 * x) / (1.0 + x * x), 0.0, 5.0,
                     {"min_spacing": 0.01, "tol": 1e-7}),
-    # min_spacing asks for more points than max_points: one round at the cap
+    # min_spacing asks for more points than max_points: the start is capped
     "capped_start": (lambda x: np.cos(x), -3.0, 3.0,
                      {"min_spacing": 0.001, "max_points": 512, "tol": 1e-6}),
     "convolution": (_conv_values, -6.0, 7.0, {"breakpoints": (0.0, 1.0), "tol": 1e-9}),
@@ -119,64 +55,72 @@ def _queries(lo, hi, cuts):
     rng = np.random.default_rng(7)
     inside = rng.uniform(lo, hi, 2000)
     grid = np.linspace(lo, hi, 4097)
-    edges = np.array([lo, hi, *cuts, lo - 1.0, hi + 1.0, -np.inf, np.inf,
-                      np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
-    return np.concatenate([inside, grid, edges])
+    return np.concatenate([inside, grid, [lo, hi, *cuts]])
 
 
-def _run_both(fn, lo, hi, kw):
-    new_f, ref_f = Recorder(fn), Recorder(fn)
-    new, err = sample_function(new_f, lo, hi, **kw)
-    ref, ref_err = reference_sample_function(ref_f, lo, hi, **kw)
-    return new, err, new_f.calls, ref, ref_err, ref_f.calls
+def _start_panels(a, b, kw):
+    """The documented start: max(5, width / (3 min_spacing)) panels, at
+    most max_points samples."""
+    spacing = kw.get("min_spacing")
+    n = 5 if spacing is None else max(5, math.ceil((b - a) / (3.0 * spacing)))
+    return min(n, (kw.get("max_points", 4096) - 1) // 6)
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_matches_cubic_spline_reference(name):
+def test_accuracy_against_the_sampled_function(name):
     fn, lo, hi, kw = CASES[name]
-    new, err, calls, ref, ref_err, ref_calls = _run_both(fn, lo, hi, kw)
-    assert err == ref_err
-    np.testing.assert_array_equal(np.sort(np.concatenate(calls)),
-                                  np.sort(np.concatenate(ref_calls)))
+    rec = Recorder(fn)
+    spline, err = sample_function(rec, lo, hi, **kw)
+    assert 0.0 <= err <= kw.get("tol", 1e-9)
     cuts = [b for b in kw.get("breakpoints", ()) if lo < b < hi]
-    # the reference makes one call per segment and round; each call's
-    # points lie in one segment
-    edges = np.array(sorted({lo, hi, *cuts}))
-    per_segment = Counter(int(np.searchsorted(edges, c.mean())) for c in ref_calls)
-    assert len(calls) == max(per_segment.values())  # 1 + the deepest segment's rounds
-    if name == "breakpoints":
-        assert (len(calls), len(ref_calls)) == (5, 14)
     q = _queries(lo, hi, cuts)
-    np.testing.assert_array_equal(new(q), ref(q))
-    outside = (q < lo) | (q > hi)
-    assert np.all(new(q)[outside] == 0.0)
+    assert np.max(np.abs(spline(q) - fn(q))) <= 2.0 * kw.get("tol", 1e-9)
+    outside = np.array([lo - 1.0, hi + 1.0, -np.inf, np.inf,
+                        np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
+    assert np.all(spline(outside) == 0.0)
     for x in (lo, hi, *cuts, lo - 1.0):
-        assert new(x).shape == ()
-        assert new(x) == ref(x)
+        assert spline(x).shape == ()
+
+    # one call per round: the start grids, then 4 new samples for each of
+    # the 3 children of each split panel, no point asked for twice but
+    # the breakpoints, which end one start grid and begin the next
+    edges = sorted({lo, hi, *cuts})
+    starts = [_start_panels(a, b, kw) for a, b in zip(edges[:-1], edges[1:])]
+    assert len(rec.calls[0]) == sum(6 * n + 1 for n in starts)
+    assert all(len(c) % 12 == 0 and len(c) > 0 for c in rec.calls[1:])
+    points = np.concatenate(rec.calls)
+    assert len(np.unique(points)) == len(points) - len(cuts)
+    # a panel split k times is 3^-k of its segment's start width; the
+    # deepest one took one call per split
+    seg = np.searchsorted(edges, spline.knots[:-1], side="right") - 1
+    start_width = (np.diff(edges) / starts)[seg]
+    depth = np.rint(np.log(start_width / np.diff(spline.knots)) / np.log(3.0))
+    assert len(rec.calls) == 1 + int(depth.max())
 
 
 def test_stops_at_max_points_with_tolerance_met():
-    # refine until the grid passes max_points, the last round's error being
-    # exactly the tolerance: both samplers stop there, by the cap
+    # a segment may end with exactly max_points samples; one fewer raises
     fn, lo, hi = (lambda x: np.exp(np.sin(4.0 * x))), -2.0, 2.0
-    _, err_at_cap = reference_sample_function(fn, lo, hi, tol=0.0, max_points=300)
-    kw = {"tol": err_at_cap, "max_points": 300}
-    new, err, calls, ref, ref_err, ref_calls = _run_both(fn, lo, hi, kw)
-    assert err == ref_err == err_at_cap
-    # every grid point is evaluated once: the final grid passed the cap
-    assert sum(map(len, calls)) > 300
+    rec = Recorder(fn)
+    first, err = sample_function(rec, lo, hi, tol=1e-8)
+    used = sum(map(len, rec.calls))
+    again, err_at_cap = sample_function(fn, lo, hi, tol=1e-8, max_points=used)
+    assert err_at_cap == err
     q = _queries(lo, hi, [])
-    np.testing.assert_array_equal(new(q), ref(q))
+    np.testing.assert_array_equal(again(q), first(q))
+    with pytest.raises(ConvergenceError, match="max_points"):
+        sample_function(fn, lo, hi, tol=1e-8, max_points=used - 1)
 
 
 def test_cap_with_unmet_tolerance_raises():
-    fn = lambda x: np.exp(np.sin(4.0 * x))  # noqa: E731
-    _, err_at_cap = reference_sample_function(fn, -2.0, 2.0, tol=0.0, max_points=300)
+    rec = Recorder(lambda x: np.exp(np.sin(4.0 * x)))
     with pytest.raises(ConvergenceError) as info:
-        sample_function(fn, -2.0, 2.0, tol=0.5 * err_at_cap, max_points=300)
+        sample_function(rec, -2.0, 2.0, tol=1e-12, max_points=300)
     msg = str(info.value)
+    used = sum(map(len, rec.calls))
+    assert used <= 300
     assert "sample_function" in msg and "[-2, 2]" in msg
-    assert "513 points" in msg and f"{err_at_cap:.3g}" in msg
+    assert f"stopped at {used} points (max_points 300)" in msg and "> tol 1e-12" in msg
 
 
 def test_cap_names_the_failing_segment():
@@ -186,11 +130,16 @@ def test_cap_names_the_failing_segment():
         sample_function(fn, -1.0, 1.0, breakpoints=(0.0,), tol=1e-6, max_points=128)
 
 
+def test_rounding_width_stops_an_undeclared_jump():
+    # only the panel holding the jump splits, until it is a few ulps wide
+    jump = 1.0 / math.pi
+    rec = Recorder(lambda x: np.where(x < jump, 0.0, 1.0))
+    with pytest.raises(ConvergenceError, match=r"segment \[0, 1\] reached rounding width"):
+        sample_function(rec, 0.0, 1.0, tol=1e-6, max_points=10**6)
+    assert all(len(c) <= 24 for c in rec.calls[1:])
+    assert len(rec.calls) < 40
+
+
 def test_non_finite_sample_raises():
     with pytest.raises(ConvergenceError, match="non-finite"):
         sample_function(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
-
-
-def test_too_few_initial_points_rejected():
-    with pytest.raises(ConvergenceError, match="initial >= 3"):
-        sample_function(np.cos, 0.0, 1.0, initial=2)
