@@ -22,7 +22,7 @@ from .lpspace import PrimitiveDistribution, conjugate, _config_for
 from .parser import parse_expr
 from .quadrature import (DEFAULT_CONFIG, ConvolutionValues, extent, integrate_line, lp_norm,
                          lp_norms)
-from .sampling import sample_function, sampled_expr
+from .sampling import MAX_POINTS, sample_function, sampled_expr
 
 
 def conv_multiplier(f, G, x, cfg=None):
@@ -68,7 +68,7 @@ def _conv_primitive(F, g, cfg, tol):
     feats_g = [p for p in g.feature_points() if math.isfinite(p)]
     kinks = sorted({a + b for a in feats_F for b in feats_g})
     h = ConvolutionValues(F, g, cfg, "convolution")
-    fn, err = sample_function(h, lo, hi, breakpoints=kinks, tol=tol)
+    fn, err = sample_function(h, lo, hi, breakpoints=kinks, tol=tol, max_points=MAX_POINTS)
     H = sampled_expr(fn, lo, hi, kinks=kinks, name="conv", outside=None if compact else h,
                      decay=decay_add(F.decay, g.decay))
     return H, err + h.max_err

@@ -4,7 +4,8 @@ Nodes evaluate on floats or numpy arrays and differentiate symbolically
 (almost-everywhere derivative for the kinked primitives).  A
 :class:`FunctionExpr` wraps a tree with the metadata the quadrature layer
 needs: declared singular points, kink points (evaluable but non-smooth), an
-optional exact support interval and a decay class tag.  The metadata of a
+optional exact support interval, a decay class tag and, for a function
+that holds a sampled one, the window it was sampled on.  The metadata of a
 tree follows from its children's by one rule per node kind
 (:func:`combine`), whether the tree is parsed or built with operators.
 """
@@ -782,6 +783,14 @@ def _similar(node, kids):
     return None if degree is None else (degree, sigmas.pop())
 
 
+def _window_hull(windows):
+    """The smallest interval holding every window that is not None, or None."""
+    windows = [w for w in windows if w is not None]
+    if not windows:
+        return None
+    return (min(w[0] for w in windows), max(w[1] for w in windows))
+
+
 def combine(node, *kids):
     """``node`` as a FunctionExpr, its metadata computed by the rule for the
     node's kind from ``kids``: one FunctionExpr per entry of
@@ -793,7 +802,8 @@ def combine(node, *kids):
     support = _support(node, kids)
     decay = ("compact",) if support is not None else _decay(node, kids)
     return FunctionExpr(node, tuple(sorted(sing)), tuple(sorted(kinks - sing)),
-                        support, decay, _similar(node, kids))
+                        support, decay, _similar(node, kids),
+                        _window_hull(k.window for k in kids))
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +820,9 @@ class FunctionExpr:
     support: tuple | None = None
     decay: tuple = ("none",)
     similar: tuple | None = None  # (r, sigma), or None when not known: see _similar
+    # (lo, hi) holding every window a sampled part was sampled on
+    # (sampling.sampled_expr), or None
+    window: tuple | None = None
 
     @staticmethod
     def from_node(node):
@@ -905,10 +918,11 @@ class FunctionExpr:
 
     def affine(self, a, b):
         """The function t -> self(a*t + b), a != 0.  Each singular point,
-        kink and support end p moves to (p - b)/a, as the tree's indicator
-        endpoints do, and so does each decay centre: the recorded ones and
-        the centre 0 that a gaussian or exponential tag leaves implicit,
-        which is recorded as -b/a.  The decay class is unchanged."""
+        kink, support end and window end p moves to (p - b)/a, as the
+        tree's indicator endpoints do, and so does each decay centre: the
+        recorded ones and the centre 0 that a gaussian or exponential tag
+        leaves implicit, which is recorded as -b/a.  The decay class is
+        unchanged."""
         a, b = float(a), float(b)
         if a == 0.0:
             raise LprimError("affine map needs a != 0")
@@ -924,6 +938,7 @@ class FunctionExpr:
         return replace(self, root=self.root.subst_affine(a, b),
                        singularities=move(self.singularities), kinks=move(self.kinks),
                        support=None if self.support is None else move(self.support),
+                       window=None if self.window is None else move(self.window),
                        decay=decay, similar=_SMOOTH if self.similar == _SMOOTH else None)
 
     def feature_points(self):

@@ -40,7 +40,7 @@ from .errors import ConvergenceError, ExponentError, IntegrabilityError, LprimEr
 from .expr import FunctionExpr, Var, add, const, decay_mul, growth, mul, pow_
 from .quadrature import (DEFAULT_CONFIG, FamilyValues, QuadResult, angle_integral,
                          effective_radius, lp_norm)
-from .sampling import sample_function, sampled_expr
+from .sampling import MAX_POINTS, sample_function, sampled_expr
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def _extension_expr(F, y, n=0, cfg=None, spline_tol=1e-7):
     U = _extension_values(F, y, n, cfg)
     R = effective_radius(F, minimum=8.0) + 4.0 * y + 4.0
     spline, err = sample_function(
-        U, -R, R, tol=spline_tol, min_spacing=y / 4.0, max_points=65536
+        U, -R, R, tol=spline_tol, min_spacing=y / 4.0, max_points=MAX_POINTS
     )
     return (sampled_expr(spline, -R, R, name=f"poisson_U[y={y:g}]", outside=U,
                          decay=_tail_decay(F)), err + U.max_err)

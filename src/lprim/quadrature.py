@@ -218,6 +218,21 @@ def _join(rows):
     return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
 
 
+def _radius(far, window=None, minimum=8.0):
+    """The radius of the core [-r, r] for each row of ``far``, an (n, m)
+    array of points, and the window (lo, hi), a pair of arrays, or None:
+    at least ``minimum``, the window's reach, and 1.5 |p| + 4 for each
+    point p outside the window.  Points inside it are not extrapolated: a
+    sampled function is its cubic panels there, and beyond the window,
+    where the tails start, its direct evaluator (sampling.sampled_expr)."""
+    reach = np.abs(far)
+    if window is not None:
+        lo, hi = window
+        reach[(far >= lo[:, None]) & (far <= hi[:, None])] = -math.inf
+        minimum = np.maximum(minimum, np.maximum(-lo, hi))
+    return np.maximum(minimum, 1.5 * reach.max(axis=1, initial=-math.inf) + 4.0)
+
+
 def _family(fn, n, factors, extra=(), line=False, decay=None):
     """The family of n owners integrating fn(i, y), with the metadata of a
     product of the ``factors``: pairs (f, xs) of a FunctionExpr f and
@@ -228,14 +243,15 @@ def _family(fn, n, factors, extra=(), line=False, decay=None):
     cuts, where its factor places them, and at ``extra``: one sequence for
     every owner, or an (n, m) array padded with nan.  On the line
     (``line``), its support is the intersection of its factors' supports,
-    and its radius is effective_radius's over its factors' feature points
-    and decay centres.  ``decay`` is the integrand's decay class, the
-    first factor's by default."""
+    and its radius is _radius's over its factors' feature points and
+    decay centres and the hull of their windows, each where its factor
+    places it.  ``decay`` is the integrand's decay class, the first
+    factor's by default."""
     per_owner = isinstance(extra, np.ndarray) and extra.ndim == 2
     sing, far = (), ()  # of the factors f(y)
     cuts = () if per_owner else tuple(extra)
     moved = []  # (xs, singular points, other cuts, far points) of the factors f(x_i - y)
-    radius = support = None
+    radius = support = window = None
     for f, xs in factors:
         s, c = tuple(f.singularities), tuple(f.kinks) + _centre_cuts(f)
         p = f.feature_points() + decay_centres(f.decay) if line else ()
@@ -250,15 +266,19 @@ def _family(fn, n, factors, extra=(), line=False, decay=None):
             a, b = f.support if xs is None else (xs - f.support[1], xs - f.support[0])
             support = (a, b) if support is None else (np.maximum(support[0], a),
                                                       np.minimum(support[1], b))
+        if line and f.window is not None:
+            a, b = f.window if xs is None else (xs - f.window[1], xs - f.window[0])
+            window = (a, b) if window is None else (np.minimum(window[0], a),
+                                                    np.maximum(window[1], b))
     # the singular points lead: those of the factors f(x_i - y), then f(y)'s
     cut_rows = _join([_rows(s, n, xs) for xs, s, _, _ in moved] + [_rows(sing + cuts, n)]
                      + [_rows(c, n, xs) for xs, _, c, _ in moved] + [extra] * per_owner)
     leading = len(sing) + sum(len(s) for _, s, _, _ in moved)
     if line:
-        radius = np.full(n, max(8.0, 1.5 * max(map(abs, far), default=-math.inf) + 4.0))
-        if moved:
-            shifted = np.abs(_join([_rows(p, n, xs) for xs, _, _, p in moved]))
-            radius = np.maximum(radius, 1.5 * shifted.max(axis=1, initial=-math.inf) + 4.0)
+        if window is not None:
+            window = tuple(np.broadcast_to(np.asarray(e, dtype=float), (n,)) for e in window)
+        radius = _radius(_join([_rows(far, n)] + [_rows(p, n, xs) for xs, _, _, p in moved]),
+                         window)
         if support is not None:  # an empty one, hi < lo, _integrate_line clips
             support = (np.full(n, support[0]), np.full(n, support[1]))
     f, xs = factors[0]
@@ -454,10 +474,22 @@ def _ts_nodes(level):
     return h, ts, w, np.where(ts <= 0, off_lo, -off_hi)
 
 
-def _ts_level(fn, owner, a, b, level):
-    """One level's sums on the intervals: (weighted sum, outer-band sum,
-    whether any node fell inside)."""
-    h, ts, w, off = _ts_nodes(level)
+@functools.cache
+def _ts_block(levels):
+    """The nodes of several levels side by side, as _ts_nodes gives each:
+    (steps, t, weights, offsets, slices of each level's nodes)."""
+    parts = [_ts_nodes(k) for k in levels]
+    ends = np.cumsum([0] + [p[1].size for p in parts])
+    return (tuple(p[0] for p in parts), *(np.concatenate(c) for c in list(zip(*parts))[1:]),
+            tuple(slice(i, j) for i, j in zip(ends[:-1], ends[1:])))
+
+
+def _ts_levels(fn, owner, a, b, levels):
+    """The sums of each of ``levels`` on the intervals, from one evaluation
+    of all their nodes: per level (weighted sum, outer-band sum, whether
+    any node fell inside)."""
+    hs, ts, w, off, cols = _ts_block(tuple(levels))
+    band = np.abs(ts) >= _TS_TMAX - 0.75
 
     def sums(owner, a, b):
         s = 0.5 * (b - a)
@@ -466,17 +498,28 @@ def _ts_level(fn, owner, a, b, level):
         vals = np.zeros(xs.shape)
         vals[ok] = fn(np.broadcast_to(owner[:, None], xs.shape)[ok], xs[ok])
         vals = np.where(np.isfinite(vals), vals, 0.0) * w
-        band = np.abs(ts) >= _TS_TMAX - 0.75
-        return (s * h * vals.sum(axis=1), s * h * np.abs(vals[:, band]).sum(axis=1),
-                ok.any(axis=1))
+        out = ()
+        for h, c in zip(hs, cols):
+            v = vals[:, c]
+            out += (s * h * v.sum(axis=1), s * h * np.abs(v[:, band[c]]).sum(axis=1),
+                    ok[:, c].any(axis=1))
+        return out
 
-    return _in_chunks(sums, ts.size, owner, a, b)
+    out = _in_chunks(sums, ts.size, owner, a, b)
+    return [out[i:i + 3] for i in range(0, len(out), 3)]
+
+
+# the levels below the first that may finish an interval, and that one:
+# their nodes are evaluated in one call
+_TS_FIRST = (0, 1, 2, 3)
 
 
 def _tanh_sinh(fn, owner, a, b, cfg):
     """Double-exponential rule on the intervals (a[j], b[j]); endpoints
     never sampled.  Intervals are refined level by level together and
-    leave when their level-to-level change is within tolerance."""
+    leave when their level-to-level change is within tolerance, from
+    level 3 on; the nodes of levels 0-3 are evaluated in one call, those
+    of each later level in one call each."""
     n = a.size
     value = np.zeros(n)
     err = np.zeros(n)
@@ -490,7 +533,10 @@ def _tanh_sinh(fn, owner, a, b, cfg):
     for level in range(_TS_MAX_LEVEL + 1):
         if act.size == 0:
             break
-        contrib, outer, has = _ts_level(fn, owner[act], a[act], b[act], level)
+        if level == 0:
+            first_sums = _ts_levels(fn, owner[act], a[act], b[act], _TS_FIRST)
+        contrib, outer, has = (first_sums[level] if level < len(_TS_FIRST) else
+                               _ts_levels(fn, owner[act], a[act], b[act], (level,))[0])
         if level == 0:
             # integrable endpoint singularities decay doubly exponentially
             # in the transformed variable; mass left in the outermost band
@@ -821,9 +867,11 @@ def integrate(f, a, b, cfg=None, extra_splits=()):
 
 
 def effective_radius(f, minimum=8.0):
-    """A radius beyond every feature point and decay centre of ``f``."""
-    far = [abs(p) for p in f.feature_points() + decay_centres(f.decay)]
-    return max(minimum, 1.5 * max(far) + 4.0) if far else minimum
+    """A radius beyond every feature point and decay centre of ``f``, and
+    at least the reach of its window (see _radius)."""
+    window = None if f.window is None else tuple(np.array([e]) for e in f.window)
+    far = np.array([f.feature_points() + decay_centres(f.decay)], dtype=float)
+    return float(_radius(far, window, minimum)[0])
 
 
 def extent(f, minimum=8.0):
@@ -1367,13 +1415,52 @@ def scan_grid(f, a, b, n):
     return xs
 
 
+# bisection steps per evaluation, at most, and the points per evaluation
+# within which the brackets take one more step: 2^d - 1 points a bracket
+_BISECT_DEPTH = 4
+_BISECT_POINTS = 64
+
+
+def _bisect(f, lo, hi, pos, d):
+    """d bisection steps on each bracket [lo, hi], f > 0 at lo where
+    ``pos``, from one ``f.values`` call: (lo, hi, go), go false where a
+    bracket stopped.  Each bracket's grid of 2^d + 1 points is refined as
+    bisection builds its midpoints, 0.5 (lo + hi) of neighbours, and the
+    steps move the grid indices i < j of its ends: the midpoint (i + j)/2
+    becomes i where the zero lies right of it or f vanishes there, and j
+    where it lies left or f vanishes.  A non-finite midpoint moves
+    neither, and a vanishing one makes i = j, so that a bracket that
+    stops stays where it stopped."""
+    n, w = lo.size, (1 << d) + 1
+    grid = np.empty((n, w))
+    grid[:, 0], grid[:, -1] = lo, hi
+    for k in range(d):
+        h = 1 << (d - 1 - k)
+        grid[:, h::2 * h] = 0.5 * (grid[:, :-1:2 * h] + grid[:, 2 * h::2 * h])
+    fv = np.zeros((n, w))  # the ends, never a midpoint, read as finite
+    fv[:, 1:-1] = f.values(grid[:, 1:-1].ravel()).reshape(n, w - 2)
+    fin = np.isfinite(fv)
+    right = fin & (fv != 0.0) & ((fv > 0) == pos[:, None])
+    moves_i, keeps_j = (right | (fv == 0.0)).ravel(), (right | ~fin).ravel()
+    i = np.arange(0, n * w, w)
+    j = i + (w - 1)
+    for _ in range(d):
+        m = (i + j) >> 1
+        i, j = np.where(moves_i[m], m, i), np.where(keeps_j[m], j, m)
+    grid = grid.ravel()
+    return grid[i], grid[j], (i < j) & fin.ravel()[(i + j) >> 1]
+
+
 def find_sign_changes(f, a, b, n=2048):
     """Zeros of f in (a, b) located by grid scan plus bisection.
 
-    Every bracket is bisected at once, one ``f.values`` call per step over
-    the brackets still live.  A bracket takes at most 60 steps; it stops
-    at a non-finite midpoint and collapses onto a midpoint where f is
-    exactly zero."""
+    Every bracket is bisected at once.  While many brackets are live, one
+    ``f.values`` call takes each one's midpoint, a step; while few are,
+    one call takes the 2^d - 1 midpoints that each one's next d steps can
+    reach, d at most _BISECT_DEPTH and all of them at most _BISECT_POINTS
+    points, and the d steps follow (_bisect), with the same result.  A
+    bracket takes at most 60 steps; it stops at a non-finite midpoint and
+    collapses onto a midpoint where f is exactly zero."""
     xs = scan_grid(f, a, b, n)
     vals = f.values(xs)
     vals = np.where(np.isfinite(vals), vals, 0.0)
@@ -1381,21 +1468,28 @@ def find_sign_changes(f, a, b, n=2048):
     flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
     # exact grid hits: interior zeros flanked by nonzero values
     exact = np.nonzero((sgn[1:-1] == 0.0) & (sgn[:-2] != 0.0) & (sgn[2:] != 0.0))[0]
-    lo, hi, flo = xs[flips], xs[flips + 1], vals[flips]
+    lo, hi = xs[flips], xs[flips + 1]
+    pos = vals[flips] > 0  # the sign of f at lo, which bisection keeps
     live = np.arange(flips.size)
-    for _ in range(60):
-        if not live.size:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        fm = f.values(mid)
-        zero = fm == 0.0
-        step = np.isfinite(fm) & ~zero
-        right = step & ((fm > 0) == (flo[live] > 0))  # the zero lies right of mid
-        left = step & ~right
-        lo[live[zero | right]] = mid[zero | right]
-        hi[live[zero | left]] = mid[zero | left]
-        flo[live[right]] = fm[right]
-        live = live[step]
+    steps = 60
+    while live.size and steps:
+        d = 1
+        while d < min(_BISECT_DEPTH, steps) and live.size * (2 ** (d + 1) - 1) <= _BISECT_POINTS:
+            d += 1
+        if d > 1:
+            lo[live], hi[live], go = _bisect(f, lo[live], hi[live], pos[live], d)
+            live = live[go]
+        else:
+            mid = 0.5 * (lo[live] + hi[live])
+            fm = f.values(mid)
+            zero = fm == 0.0
+            step = np.isfinite(fm) & ~zero
+            right = step & ((fm > 0) == pos[live])  # the zero lies right of mid
+            left = step & ~right
+            lo[live[zero | right]] = mid[zero | right]
+            hi[live[zero | left]] = mid[zero | left]
+            live = live[step]
+        steps -= d
     return xs[exact + 1].tolist() + (0.5 * (lo + hi)).tolist()
 
 

@@ -291,6 +291,18 @@ def test_loose_tolerances_reach_the_product_sampling(argv, norm_row):
     assert rows(report)[norm_row] == pytest.approx(math.pi, rel=1e-5)
 
 
+@pytest.mark.parametrize("F,norm", [("exp(-x^2)", math.pi),
+                                    ("indicator(0,1)", math.sqrt(math.pi))],
+                         ids=["gaussian", "box"])
+def test_tight_tolerances_reach_the_product_sampling(F, norm):
+    # cubic panels need samples growing like tol^(-1/4): at abs_tol 1e-12 a
+    # segment takes more than the 4,096 that sample_function allows by default
+    report, code = run("conv", "--p", "1", "--r", "1", "--F", F, "--g=exp(-x^2)",
+                       "--abs-tol", "1e-12", "--rel-tol", "1e-10")
+    assert code == 0
+    assert rows(report)["norm_r"] == pytest.approx(norm, rel=1e-10)
+
+
 @pytest.mark.parametrize("argv", [
     ("pair", "--p", "2", "--n", "2", "--F", "exp(-x^2)", "--g", "exp(-x^2)"),
     ("poisson", "--F", "exp(-x^2)", "--x", "0.3", "--y", "0.5", "--n", "2"),

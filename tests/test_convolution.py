@@ -90,6 +90,14 @@ class TestYoungProduct:
             want = math.sqrt(math.pi / 2) * (2 * math.pi / r) ** (1 / (2 * r))
             assert res.payload.norm == pytest.approx(want, rel=1e-8)
 
+    def test_product_norm_starts_its_tails_at_the_window(self):
+        # the sampled product's line integrals take its window as their
+        # core; beyond it the tails integrate the direct convolution
+        res = conv_lq(dist("exp(-x^2)", 1.0), parse_expr("exp(-x^2)"), 1.0)
+        H = res.payload.F
+        assert H.window == (-20.0, 20.0) and quadrature.extent(H) == H.window
+        assert res.payload.norm == pytest.approx(math.pi, rel=1e-8)
+
     def test_bad_exponents_rejected(self):
         f = dist("indicator(0,1)", 3.0)
         with pytest.raises(ExponentError):

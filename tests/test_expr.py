@@ -51,6 +51,18 @@ class TestEvaluation:
 
 
 class TestMetadata:
+    def test_sampled_window_is_kept_by_the_algebra(self):
+        from lprim.sampling import sampled_expr
+
+        S = sampled_expr(np.cos, -2.0, 3.0, outside=np.cos, decay=("power", 2.0))
+        T = sampled_expr(np.sin, 1.0, 5.0)
+        assert S.window == (-2.0, 3.0) and S.support is None
+        assert T.window == T.support == (1.0, 5.0)
+        assert (S - P("exp(-x^2)")).window == (-2.0, 3.0)
+        assert abs(S * T).power(2.0).window == (-2.0, 5.0)
+        assert S.affine(-2.0, 1.0).window == (-1.0, 1.5)
+        assert P("exp(-x^2)").window is None
+
     def test_indicator_support_and_kinks(self):
         e = parse_expr("indicator(0,1)")
         assert e.support == (0.0, 1.0)

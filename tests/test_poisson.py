@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
+from lprim import poisson
 from lprim.errors import ConvergenceError, ExponentError, LprimError
 from lprim.expr import Wrapped
 from lprim.higher import NthDistribution
@@ -27,7 +28,7 @@ from lprim.poisson import (
     kernel_dx,
     poisson_kernel,
 )
-from lprim.quadrature import DEFAULT_CONFIG, convolve, integrate_line
+from lprim.quadrature import DEFAULT_CONFIG, convolve, extent, integrate_line
 
 
 class TestKernel:
@@ -154,6 +155,31 @@ class TestBoundaryConvergence:
         norms, contraction_ok = boundary_convergence(f, [0.5, 0.2])
         assert norms[0] > norms[1]
         assert contraction_ok
+
+
+    def test_gap_norms_start_their_tails_at_the_window(self, monkeypatch):
+        # U_y is sampled on [-R, R]: the norms of U_y - F take [-R, R] as
+        # their core and no more, and U_y's direct evaluator, a family of
+        # angle integrals, sees only the points of the tails beyond it
+        made, seen = [], []
+        sampled = poisson.sampled_expr
+
+        def spy(fn, lo, hi, outside=None, **kw):
+            def recorded(xs):
+                seen.append(np.array(xs))
+                return outside(xs)
+
+            made.append(sampled(fn, lo, hi, outside=recorded, **kw))
+            return made[-1]
+
+        monkeypatch.setattr(poisson, "sampled_expr", spy)
+        F = parse_expr("indicator(-1,1)")
+        boundary_gaps(PrimitiveDistribution(F, 1.0), [1.0])
+        (U,) = made
+        lo, hi = U.window
+        assert (U - F).window == (lo, hi) and extent(U - F) == (lo, hi)
+        xs = np.concatenate(seen)
+        assert xs.size and np.all((xs < lo) | (xs > hi))
 
 
 # closed forms of d^n/dx^n (Phi_y * F)(x), z = x + iy

@@ -325,6 +325,20 @@ class TestSignChanges:
     def test_batched_matches_scalar_bisection(self, name, f, a, b, n):
         assert find_sign_changes(f, a, b, n) == scalar_sign_changes(f, a, b, n)
 
+    def test_few_brackets_take_several_steps_a_call(self, monkeypatch):
+        # two brackets: the 15 midpoints of 4 steps each per call, so one
+        # scan and 15 calls for the 60 steps
+        values, calls = FunctionExpr.values, []
+
+        def counted(self, xs):
+            calls.append(np.size(xs))
+            return values(self, xs)
+
+        monkeypatch.setattr(FunctionExpr, "values", counted)
+        zeros = find_sign_changes(parse_expr("sin(x)"), 0.5, 7.0)
+        assert len(calls) <= 16 and calls[1:] == [30] * 15
+        assert np.allclose(zeros, [math.pi, 2 * math.pi], rtol=0.0, atol=1e-12)
+
     def test_weierstrass_scan_resolves_wavelength(self, monkeypatch):
         # lp_norm scans 8 points per oscillation wavelength: a 2,048-cell
         # grid misses the zero pairs that fall inside one cell
@@ -348,6 +362,122 @@ class TestSignChanges:
         # one scan plus at most 60 bisection steps over all brackets at once
         assert len(calls) <= 62
         assert abs(norm - WEIERSTRASS_L1) <= 1e-12 * WEIERSTRASS_L1
+
+
+def reference_tanh_sinh(fn, owner, a, b, cfg):
+    """Reference: the tanh-sinh rule evaluated one level per call, levels
+    0-3 included, with the same per-interval rules."""
+    n = a.size
+    value, err, conv = np.zeros(n), np.zeros(n), np.ones(n, dtype=bool)
+    total, prev_delta, first = np.zeros(n), np.full(n, np.nan), np.full(n, np.nan)
+    last3 = np.full((n, 3), np.nan)
+    count = np.zeros(n, dtype=int)
+    act = np.nonzero(b > a)[0]
+    for level in range(quadrature._TS_MAX_LEVEL + 1):
+        if act.size == 0:
+            break
+        h, ts, w, off = quadrature._ts_nodes(level)
+        s = 0.5 * (b[act] - a[act])
+        xs = np.where(ts <= 0, a[act, None], b[act, None]) + s[:, None] * off
+        ok = (xs > a[act, None]) & (xs < b[act, None]) & (w > 0)
+        vals = np.zeros(xs.shape)
+        vals[ok] = fn(np.broadcast_to(owner[act, None], xs.shape)[ok], xs[ok])
+        vals = np.where(np.isfinite(vals), vals, 0.0) * w
+        band = np.abs(ts) >= quadrature._TS_TMAX - 0.75
+        contrib = s * h * vals.sum(axis=1)
+        outer = s * h * np.abs(vals[:, band]).sum(axis=1)
+        has = ok.any(axis=1)
+        if level == 0:
+            if np.any(has & (outer > np.maximum(1e-7, 1e-5 * np.abs(contrib)))):
+                raise IntegrabilityError(
+                    "endpoint singularity too strong: integrability not certified")
+            est = contrib
+        else:
+            est = 0.5 * total[act] + contrib
+        upd, est = act[has], est[has]
+        total[upd] = est
+        count[upd] += 1
+        first[upd] = np.where(np.isnan(first[upd]), est, first[upd])
+        last3[upd] = np.column_stack([last3[upd, 1], last3[upd, 2], est])
+        delta = np.abs(est - last3[upd, 1])
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(est))
+        fin = (delta <= tol) & (level >= 3)
+        if level >= 6 and np.any(~fin & (delta > 4.0 * prev_delta[upd]) & (
+                np.abs(est) > 10.0 * np.maximum(1.0, np.abs(first[upd])))):
+            raise IntegrabilityError("tanh-sinh refinement diverges: non-integrable singularity")
+        value[upd[fin]], err[upd[fin]] = est[fin], delta[fin]
+        prev_delta[upd] = delta
+        keep = np.ones(act.size, dtype=bool)
+        keep[np.nonzero(has)[0][fin]] = False
+        act = act[keep]
+    rest = act
+    steps = np.abs(np.diff(last3[rest], axis=1))
+    if np.any((count[rest] >= 4) & (steps[:, 1] >= steps[:, 0])
+              & (np.abs(last3[rest, 2]) > 1e6)):
+        raise IntegrabilityError(
+            "tanh-sinh estimates grow without bound: non-integrable singularity")
+    value[rest] = total[rest]
+    err[rest] = np.where(count[rest] > 1, np.abs(total[rest] - last3[rest, 1]), np.inf)
+    conv[rest] = False
+    return quadrature.FamilyResult(value, err, conv)
+
+
+class TestTanhSinh:
+    """The rule that evaluates levels 0-3 in one call against the reference
+    that takes one call per level, on every interval the engine hands it."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        rule, seen = quadrature._tanh_sinh, []
+
+        def both(fn, owner, a, b, cfg):
+            try:
+                want = reference_tanh_sinh(fn, owner, a, b, cfg)
+            except IntegrabilityError as exc:
+                with pytest.raises(IntegrabilityError, match=str(exc)):
+                    rule(fn, owner, a, b, cfg)
+                seen.append(None)
+                raise
+            got = rule(fn, owner, a, b, cfg)
+            for field in ("value", "err_est", "converged"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            seen.append(a.size)
+            return got
+
+        monkeypatch.setattr(quadrature, "_tanh_sinh", both)
+        return seen
+
+    @pytest.mark.parametrize("m", [m for m in corpus_members() if m.expr.singularities],
+                             ids=lambda m: m.name)
+    def test_singular_pieces_of_the_corpus(self, compared, m):
+        # the pieces next to each singular point
+        lp_norm(m.expr, 1.5, QuadConfig.from_env(osc_wavelength=m.osc_wavelength))
+        assert compared and all(compared)
+
+    @pytest.mark.parametrize("m", [m for m in corpus_members()
+                                   if m.expr.decay[0] == "power" and m.expr.decay[1] > 1.0],
+                             ids=lambda m: m.name)
+    def test_power_tail_maps(self, compared, m):
+        # both tails, x = r/t and x = -r/t, singular at t = 0
+        integrate_line(m.expr)
+        assert 2 in compared
+
+    def test_level_zero_refusal(self, compared):
+        with pytest.raises(IntegrabilityError, match="endpoint singularity too strong"):
+            integrate(parse_expr("sing(1/abs(x), 0)"), -1.0, 1.0)
+        assert compared == [None]
+
+    def test_convergence_at_level_three_takes_one_call(self):
+        calls = []
+
+        def fn(owner, ys):
+            calls.append(ys.size)
+            return np.exp(ys)
+
+        res = quadrature._tanh_sinh(fn, np.zeros(1, dtype=int), np.zeros(1), np.ones(1),
+                                    DEFAULT_CONFIG)
+        assert bool(res.converged[0]) and abs(res.value[0] - (math.e - 1.0)) <= 1e-14
+        assert len(calls) == 1
 
 
 class TestConfig:
