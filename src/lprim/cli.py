@@ -237,6 +237,23 @@ def build_parser():
     return top
 
 
+def _product_rows(res, xs, density_first):
+    """The primitive(x) and density(x) rows of a conv or star result, the
+    values of each kind from one call; a density row carries its integral
+    family's err_est."""
+    prim = res.payload.F.values(xs)
+    fn = res.diagnostics.get("density")
+    dens = None if fn is None else res.density_at(xs)
+    rows = []
+    for i, x in enumerate(xs):
+        pair = [(f"primitive({x:g})", float(prim[i]), 0.0)]
+        if dens is not None:  # max_err is 0 for the exact zero product
+            pair.insert(0 if density_first else 1,
+                        (f"density({x:g})", float(dens[i]), getattr(fn, "max_err", 0.0)))
+        rows += pair
+    return rows
+
+
 def _run(args, cfg):
     rows = []
     checks = []
@@ -278,21 +295,13 @@ def _run(args, cfg):
         res = conv_lq(f, _expr_arg(args.g), args.r, cfg=cfg)
         rows.append(("young_bound", res.diagnostics["young_bound"], 0.0))
         rows.append(("norm_r", res.payload.norm, 0.0))
-        for x in _floats(args.x):
-            rows.append((f"primitive({x:g})",
-                         float(res.payload.F.values([x])[0]), 0.0))
-            if res.diagnostics.get("density") is not None:
-                rows.append((f"density({x:g})", res.density_at(x), 0.0))
+        rows += _product_rows(res, _floats(args.x), density_first=False)
     elif cmd == "star":
         f = PrimitiveDistribution(_expr_arg(args.F), 1.0, cfg=cfg)
         g = PrimitiveDistribution(_expr_arg(args.G), 1.0, cfg=cfg)
         res = star(f, g, cfg=cfg)
         rows.append(("norm_1", res.payload.norm, 0.0))
-        for x in _floats(args.x):
-            if res.diagnostics.get("density") is not None:
-                rows.append((f"density({x:g})", res.density_at(x), 0.0))
-            rows.append((f"primitive({x:g})",
-                         float(res.payload.F.values([x])[0]), 0.0))
+        rows += _product_rows(res, _floats(args.x), density_first=True)
     elif cmd == "fourier":
         f = PrimitiveDistribution(_expr_arg(args.F), 1.0, cfg=cfg)
         Fhat = transform_of(f, cfg)  # every s shares f's samplings

@@ -41,11 +41,13 @@ class ConvolutionResult:
     diagnostics: dict = field(default_factory=dict)
 
     def density_at(self, x):
-        """Pointwise density of an lq/star result."""
+        """The density of an lq/star result at x: a float at a float, an
+        array at an array of points, which are one integral family."""
         fn = self.diagnostics.get("density")
         if fn is None:
             raise LprimError(f"kind={self.kind!r} result carries no density")
-        return fn(float(x))
+        out = fn(np.asarray(x, dtype=float))
+        return float(out) if np.ndim(x) == 0 else out
 
 
 def _conv_primitive(F, g, cfg, tol):
@@ -121,14 +123,14 @@ def conv_lq(f, g, r, cfg=None, tol=None):
         return ConvolutionResult(
             "lq",
             PrimitiveDistribution(zero, r, _norm=0.0),
-            {"young_bound": 0.0, "cauchy_tail": [], "density": lambda x: 0.0},
+            {"young_bound": 0.0, "cauchy_tail": [], "density": np.zeros_like},
         )
     H, err = _conv_primitive(f.F, g, cfg, 10.0 * cfg.abs_tol if tol is None else tol)
     dist = PrimitiveDistribution(H, r, cfg)
     tails = [(n, m, f.norm * dq) for (n, m), dq in zip(_TAIL_PAIRS, tail_norms)]
 
     gp = _try_diff(g)
-    density = None if gp is None else ConvolutionValues(f.F, gp, cfg, "convolution").at
+    density = None if gp is None else ConvolutionValues(f.F, gp, cfg, "convolution")
     diags = {
         "young_bound": f.norm * norm_g,
         "cauchy_tail": tails,
@@ -164,11 +166,11 @@ def star(f, g, cfg=None, tol=None):
     if f.norm == 0.0 or g.norm == 0.0:
         zero = parse_expr("0*indicator(0,1)")
         return ConvolutionResult("star", PrimitiveDistribution(zero, 1.0, _norm=0.0),
-                                 {"density": lambda x: 0.0})
+                                 {"density": np.zeros_like})
     H, err = _conv_primitive(f.F, g.F, cfg, 5.0 * cfg.abs_tol if tol is None else tol)
     dist = PrimitiveDistribution(H, 1.0, cfg)
     Gp = _try_diff(g.F)
-    density = None if Gp is None else ConvolutionValues(f.F, Gp, cfg, "convolution").at
+    density = None if Gp is None else ConvolutionValues(f.F, Gp, cfg, "convolution")
     diags = {
         "algebra_bound": f.norm * g.norm,
         "sampling_error": err,

@@ -4,10 +4,11 @@ Nodes evaluate on floats or numpy arrays and differentiate symbolically
 (almost-everywhere derivative for the kinked primitives).  A
 :class:`FunctionExpr` wraps a tree with the metadata the quadrature layer
 needs: declared singular points, kink points (evaluable but non-smooth), an
-optional exact support interval, a decay class tag and, for a function
-that holds a sampled one, the window it was sampled on.  The metadata of a
-tree follows from its children's by one rule per node kind
-(:func:`combine`), whether the tree is parsed or built with operators.
+optional exact support interval, a decay class tag, a sign when one is
+known and, for a function that holds a sampled one, the window it was
+sampled on.  The metadata of a tree follows from its children's by one
+rule per node kind (:func:`combine`), whether the tree is parsed or built
+with operators.
 """
 
 from __future__ import annotations
@@ -783,6 +784,35 @@ def _similar(node, kids):
     return None if degree is None else (degree, sigmas.pop())
 
 
+def _sign(node, kids):
+    """+1 when ``node`` is >= 0 wherever it is defined, -1 when it is <= 0,
+    0 when not known, as for x, sin, cos, log and opaque callables."""
+    call = node.name if isinstance(node, Call) else None
+    if isinstance(node, Const):
+        return 1 if node.v >= 0.0 else -1
+    if isinstance(node, Indicator) or call in ("exp", "sqrt", "abs"):
+        return 1
+    signs = [k.sign for k in kids]
+    if isinstance(node, Pow):
+        if node.expo % 2 == 0:
+            return 1
+        # an odd power keeps the sign, and any power keeps a sign >= 0
+        return signs[0] if node.expo % 2 == 1 or signs[0] == 1 else 0
+    if isinstance(node, (Mul, Div)):
+        return signs[0] * signs[1]
+    if isinstance(node, Neg):
+        return -signs[0]
+    if isinstance(node, (Add, Sub)):
+        b = -signs[1] if isinstance(node, Sub) else signs[1]
+        return b if signs[0] == b else 0
+    if call in ("sgn", "atan", "erf"):
+        return signs[0]
+    if isinstance(node, Piecewise):
+        common = {k.sign for k in _branch_values(kids)}
+        return common.pop() if len(common) == 1 else 0
+    return 0
+
+
 def _window_hull(windows):
     """The smallest interval holding every window that is not None, or None."""
     windows = [w for w in windows if w is not None]
@@ -803,7 +833,7 @@ def combine(node, *kids):
     decay = ("compact",) if support is not None else _decay(node, kids)
     return FunctionExpr(node, tuple(sorted(sing)), tuple(sorted(kinks - sing)),
                         support, decay, _similar(node, kids),
-                        _window_hull(k.window for k in kids))
+                        _window_hull(k.window for k in kids), _sign(node, kids))
 
 
 # ---------------------------------------------------------------------------
@@ -823,6 +853,7 @@ class FunctionExpr:
     # (lo, hi) holding every window a sampled part was sampled on
     # (sampling.sampled_expr), or None
     window: tuple | None = None
+    sign: int = 0  # +1: >= 0 everywhere, -1: <= 0 everywhere, 0: not known (_sign)
 
     @staticmethod
     def from_node(node):
@@ -882,7 +913,7 @@ class FunctionExpr:
     def diff(self):
         """Almost-everywhere derivative.  Kinks of this function become
         potential singular points of the derivative."""
-        return replace(self, root=self.root.diff(),
+        return replace(self, root=self.root.diff(), sign=0,
                        singularities=tuple(sorted(set(self.singularities) | set(self.kinks))))
 
     # -- algebra -------------------------------------------------------------

@@ -224,10 +224,10 @@ def exchange_identity(f, g, cfg=None):
 
     lhs_re = integrate_line(
         replace(g, root=Wrapped(lambda ss: lhs_parts(ss, np.real), name="fhat_re",
-                                growth_hint=1.0), similar=None) * g, cfg).value
+                                growth_hint=1.0), similar=None, sign=0) * g, cfg).value
     lhs_im = integrate_line(
         replace(g, root=Wrapped(lambda ss: lhs_parts(ss, np.imag), name="fhat_im",
-                                growth_hint=1.0), similar=None) * g, cfg).value
+                                growth_hint=1.0), similar=None, sign=0) * g, cfg).value
 
     # the action of f = F' on g^ is -integral F (g^)'; (g^)'(x) is the
     # transform of -is g(s), finite because s g(s) is integrable: one call
@@ -240,11 +240,11 @@ def exchange_identity(f, g, cfg=None):
 
     rhs_re = -integrate_line(
         F * replace(F, root=Wrapped(lambda xs: ghat_prime(xs, np.real),
-                                    name="ghatp_re", growth_hint=0.0), similar=None),
+                                    name="ghatp_re", growth_hint=0.0), similar=None, sign=0),
         cfg).value
     rhs_im = -integrate_line(
         F * replace(F, root=Wrapped(lambda xs: ghat_prime(xs, np.imag),
-                                    name="ghatp_im", growth_hint=0.0), similar=None),
+                                    name="ghatp_im", growth_hint=0.0), similar=None, sign=0),
         cfg).value
     return ComplexValue(lhs_re, lhs_im), ComplexValue(rhs_re, rhs_im)
 

@@ -1451,23 +1451,28 @@ def _bisect(f, lo, hi, pos, d):
     return grid[i], grid[j], (i < j) & fin.ravel()[(i + j) >> 1]
 
 
-def find_sign_changes(f, a, b, n=2048):
+def find_sign_changes(f, a, b, n=2048, floor=0.0):
     """Zeros of f in (a, b) located by grid scan plus bisection.
 
-    Every bracket is bisected at once.  While many brackets are live, one
-    ``f.values`` call takes each one's midpoint, a step; while few are,
-    one call takes the 2^d - 1 midpoints that each one's next d steps can
-    reach, d at most _BISECT_DEPTH and all of them at most _BISECT_POINTS
-    points, and the d steps follow (_bisect), with the same result.  A
-    bracket takes at most 60 steps; it stops at a non-finite midpoint and
-    collapses onto a midpoint where f is exactly zero."""
+    A grid cell whose ends have opposite signs is a bracket, unless |f| <=
+    ``floor`` at both of its ends: such a zero is dropped.  Every bracket
+    is bisected at once.  While many brackets are live, one ``f.values``
+    call takes each one's midpoint, a step; while few are, one call takes
+    the 2^d - 1 midpoints that each one's next d steps can reach, d at
+    most _BISECT_DEPTH and all of them at most _BISECT_POINTS points, and
+    the d steps follow (_bisect), with the same result.  A bracket stops
+    after 60 steps, or sooner once its ends are adjacent floats (its
+    midpoint is one of them, and no step would move it); it stops at a
+    non-finite midpoint and collapses onto a midpoint where f is exactly
+    zero."""
     xs = scan_grid(f, a, b, n)
     vals = f.values(xs)
     vals = np.where(np.isfinite(vals), vals, 0.0)
-    sgn = np.sign(vals)
-    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+    sgn, big = np.sign(vals), np.abs(vals) > floor
+    flips = np.nonzero((sgn[:-1] * sgn[1:] < 0) & (big[:-1] | big[1:]))[0]
     # exact grid hits: interior zeros flanked by nonzero values
-    exact = np.nonzero((sgn[1:-1] == 0.0) & (sgn[:-2] != 0.0) & (sgn[2:] != 0.0))[0]
+    exact = np.nonzero((sgn[1:-1] == 0.0) & (sgn[:-2] != 0.0) & (sgn[2:] != 0.0)
+                       & (big[:-2] | big[2:]))[0]
     lo, hi = xs[flips], xs[flips + 1]
     pos = vals[flips] > 0  # the sign of f at lo, which bisection keeps
     live = np.arange(flips.size)
@@ -1490,6 +1495,8 @@ def find_sign_changes(f, a, b, n=2048):
             hi[live[zero | left]] = mid[zero | left]
             live = live[step]
         steps -= d
+        mid = 0.5 * (lo[live] + hi[live])
+        live = live[(lo[live] < mid) & (mid < hi[live])]
     return xs[exact + 1].tolist() + (0.5 * (lo + hi)).tolist()
 
 
@@ -1509,13 +1516,24 @@ def lp_norms(f, p, cfg=None, cuts=((),), weight=None):
     may change sign or lose smoothness.  Returns a list of floats; raises
     ConvergenceError when an owner's integral did not converge and its
     err_est exceeds 10 times its tolerance.
+
+    Two rules keep the scan to the sign changes that matter.  An f of
+    known sign (``f.sign``, +1 or -1) has none, and is not scanned.  A
+    bracket whose two ends both have |f| <= tau = (abs_tol / (100
+    max(b - a, 1)))^(1/p) is dropped: there |f|^p <= abs_tol / (100
+    max(b - a, 1)), rounding ripples of a sampled function included.
+    Either rule only removes split points.  The GK pool still estimates
+    every piece's error and subdivides until it meets its tolerance, as
+    at any kink it was not told of, or raises: a dropped split point can
+    cost work, but no piece is taken on trust.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not 1.0 <= p < math.inf:
         raise LprimError(f"exponent p={p} outside [1, oo)")
     integrand = abs(f) if p == 1.0 else abs(f).power(p)
     a, b = extent(f)
-    zeros = find_sign_changes(f, a, b, _scan_size(a, b, cfg, 2048))
+    tau = (cfg.abs_tol / (100.0 * max(b - a, 1.0))) ** (1.0 / p)
+    zeros = [] if f.sign else find_sign_changes(f, a, b, _scan_size(a, b, cfg, 2048), tau)
     n = len(cuts)
     # nan pads: never inside a piece
     extra = np.full((n, len(zeros) + max(map(len, cuts))), np.nan)

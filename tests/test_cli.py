@@ -209,6 +209,17 @@ class TestSubcommands:
             1 - math.exp(-1), abs=1e-7
         )
 
+    @pytest.mark.parametrize("argv", [
+        ("conv", "--p", "1", "--r", "1", "--F", "indicator(0,1)", "--g=-2*x*exp(-x^2)"),
+        ("star", "--F", "indicator(0,1)", "--G", "exp(-x^2)"),
+    ], ids=["conv", "star"])
+    def test_density_rows_carry_the_family_err_est(self, argv):
+        report, code = run(*argv, "--x=-0.5,0,0.7,1.5")
+        assert code == 0
+        dens = [(v, e) for label, v, e in report.outputs if label.startswith("density(")]
+        assert len(dens) == 4
+        assert all(0.0 < e <= max(1e-10, 1e-8 * abs(v)) for v, e in dens)
+
 
 class TestOutputContract:
     def test_deterministic_csv(self):

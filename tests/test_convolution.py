@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from lprim import convolution, quadrature
@@ -33,8 +34,6 @@ class TestReflect:
         R = F.affine(-1.0, 0.5)
         # F(0.5 - y) = chi_(0,1)(0.5 - y) = chi_(-0.5,0.5)(y)
         assert R.support == (-0.5, 0.5)
-        import numpy as np
-
         ys = np.array([-0.4, 0.0, 0.4, 0.8])
         vals = R.values(ys)
         assert list(vals) == [1.0, 1.0, 1.0, 0.0]
@@ -159,10 +158,11 @@ class TestYoungProduct:
             close(tail / f.norm, lp_norm(replace(g * (wm - wn), decay=g.decay), q, cfg))
 
     def test_norms_of_g_share_one_scan_and_sampling_rounds(self, monkeypatch):
-        # one sign-change scan of g for its norm and the three tails, and
-        # one evaluator call per sampling round, all segments together
+        # one sign-change scan of g, which changes sign at 1, for its norm
+        # and the three tails, and one evaluator call per sampling round,
+        # all segments together
         f = dist("indicator(-1,1)*(1-abs(x))", 1.5)
-        g = parse_expr("indicator(0,2)")
+        g = parse_expr("indicator(0,2)*(1-x)")
         scanned, evaluations = [], []
         scan, sample = quadrature.find_sign_changes, convolution.sample_function
 
@@ -181,6 +181,32 @@ class TestYoungProduct:
         conv_lq(f, g, 3.0)
         assert sum(e is g for e in scanned) == 1
         assert 1 <= len(evaluations) <= 2
+
+    def test_g_of_known_sign_takes_no_scan(self, monkeypatch):
+        # chi_(0,2) >= 0: its norm and tails split at no zero, and
+        # ||g||_q = 2^(1/q), q = 1.5 for p = 1.5 and r = 3
+        f = dist("indicator(-1,1)*(1-abs(x))", 1.5)
+        g = parse_expr("indicator(0,2)")
+        scan, scanned = quadrature.find_sign_changes, []
+        monkeypatch.setattr(quadrature, "find_sign_changes",
+                            lambda e, *args: scanned.append(e) or scan(e, *args))
+        res = conv_lq(f, g, 3.0)
+        assert g.sign == 1 and not any(e is g for e in scanned)
+        assert res.diagnostics["young_bound"] == pytest.approx(f.norm * 2.0 ** (1 / 1.5),
+                                                               rel=1e-12)
+
+    @pytest.mark.parametrize("product", ["conv", "star"])
+    def test_array_density_equals_points(self, product):
+        f = dist("indicator(0,1)", 1.0)
+        if product == "conv":
+            res = conv_lq(f, parse_expr("-2*x*exp(-x^2)"), 1.0, tol=1e-8)
+        else:
+            res = star(f, dist("exp(-x^2)", 1.0))
+        xs = np.linspace(-2.0, 3.0, 21)
+        each = [res.density_at(x) for x in xs]
+        assert all(type(v) is float for v in each)
+        np.testing.assert_allclose(res.density_at(xs), each, rtol=1e-13, atol=1e-15)
+        assert res.density_at(xs.reshape(3, 7)).shape == (3, 7)
 
 
 class TestStarProduct:
@@ -205,6 +231,31 @@ class TestStarProduct:
 
         for x in (-0.5, 0.25, 0.5, 1.5):
             assert res.density_at(x) == pytest.approx(tent(x) - tent(x - 1.0), abs=1e-8)
+
+    def test_sampled_product_norm_bisects_no_bracket(self, monkeypatch):
+        # chi_(0,1) * e^(-x^2) > 0, but its cubic panels ripple to about
+        # -2e-14 beyond |x| = 5: false zeros at floor 0, while lp_norm's
+        # floor drops every bracket, so that its scan is the one call
+        find, values = quadrature.find_sign_changes, FunctionExpr.values
+        found, calls = [], []
+
+        def counted(self, xs):
+            calls.append(1)
+            return values(self, xs)
+
+        def spy(e, a, b, n, floor):
+            found.append(find(e, a, b, n))
+            monkeypatch.setattr(FunctionExpr, "values", counted)
+            found.append(find(e, a, b, n, floor))
+            monkeypatch.setattr(FunctionExpr, "values", values)
+            return found[-1]
+
+        monkeypatch.setattr(quadrature, "find_sign_changes", spy)
+        res = star(dist("indicator(0,1)", 1.0), dist("exp(-x^2)", 1.0))
+        assert res.payload.norm == pytest.approx(math.sqrt(math.pi), rel=1e-9)
+        every, kept = found
+        assert len(every) >= 1 and min(map(abs, every)) > 5.0
+        assert kept == [] and len(calls) == 1
 
     def test_commutative(self):
         f = dist("indicator(0,1)", 1.0)

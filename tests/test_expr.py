@@ -11,6 +11,7 @@ from lprim.errors import JetError, LprimError
 from lprim.expr import FunctionExpr, Wrapped, maximum, minimum
 from lprim.parser import parse_expr
 from lprim.quadrature import integrate, integrate_line
+from lprim.sampling import sampled_expr
 from lprim.parser import parse_expr as P
 
 
@@ -434,12 +435,64 @@ METADATA_TABLE = [
 ]
 
 
+# one row per rule of expr._sign: +1 is >= 0 everywhere, -1 is <= 0
+# everywhere and 0 is not known
+SIGN_TABLE = [
+    ('const', lambda: P('2.5'), 1),
+    ('negative const', lambda: P('-2.5'), -1),
+    ('indicator', lambda: P('indicator(0,2)'), 1),
+    ('exp', lambda: P('exp(x)'), 1),
+    ('sqrt', lambda: P('sqrt(x)'), 1),
+    ('abs', lambda: P('abs(sin(x))'), 1),
+    ('even power', lambda: P('sin(x)^2'), 1),
+    ('negative even power', lambda: P('x^(-2)'), 1),
+    ('odd power', lambda: P('(-exp(x))^3'), -1),
+    ('power of a sign >= 0', lambda: P('exp(x)^0.5'), 1),
+    ('fractional power', lambda: P('x^0.5'), 0),
+    ('product', lambda: P('-exp(-x^2)*indicator(0,1)'), -1),
+    ('quotient', lambda: P('-1/(x^2+1)'), -1),
+    ('product with unknown', lambda: P('x*exp(-x^2)'), 0),
+    ('sum sharing a sign', lambda: P('exp(-x^2) + indicator(0,1)'), 1),
+    ('sum of mixed signs', lambda: P('exp(-x^2) - indicator(0,1)'), 0),
+    ('difference of opposite signs', lambda: P('-exp(-x^2) - indicator(0,1)'), -1),
+    ('op:sum', lambda: P('exp(-x^2)') + P('indicator(0,1)'), 1),
+    ('op:difference', lambda: P('indicator(0,1)') - P('exp(-x^2)'), 0),
+    ('op:scalar product', lambda: P('exp(-x^2)') * -2.0, -1),
+    ('negation', lambda: -P('exp(-x^2)'), -1),
+    ('sgn', lambda: P('sgn(-exp(x))'), -1),
+    ('atan', lambda: P('atan(x^2)'), 1),
+    ('erf', lambda: P('erf(-abs(x))'), -1),
+    ('sgn of unknown', lambda: P('sgn(x)'), 0),
+    ('piecewise, common sign',
+     lambda: P('piecewise(x < 0 -> exp(x), x < 1 -> 1, else -> x^2)'), 1),
+    ('piecewise, mixed signs', lambda: P('piecewise(x < 0 -> -1, else -> 1)'), 0),
+    ('maximum', lambda: maximum(P('exp(x)'), P('abs(x)')), 1),
+    ('x', lambda: P('x'), 0),
+    ('sin', lambda: P('sin(x)'), 0),
+    ('cos', lambda: P('cos(x)'), 0),
+    ('log', lambda: P('log(abs(x))'), 0),
+    ('tent', lambda: P('indicator(-1,1)*(1-abs(x))'), 0),
+    ('wrapped', lambda: FunctionExpr.from_node(Wrapped(np.abs)), 0),
+    ('sampled', lambda: sampled_expr(np.abs, -1.0, 1.0), 0),
+    ('affine', lambda: P('-exp(-x^2)').affine(-2.0, 1.0), -1),
+    ('derivative', lambda: P('exp(-x^2)').diff(), 0),
+]
+
+
 class TestMetadataTable:
     @pytest.mark.parametrize("label,build,sing,kinks,support,decay", METADATA_TABLE,
                              ids=[row[0] for row in METADATA_TABLE])
     def test_metadata(self, label, build, sing, kinks, support, decay):
         e = build()
         assert (e.singularities, e.kinks, e.support, e.decay) == (sing, kinks, support, decay)
+
+    @pytest.mark.parametrize("label,build,sign", SIGN_TABLE, ids=[row[0] for row in SIGN_TABLE])
+    def test_sign(self, label, build, sign):
+        e = build()
+        assert e.sign == sign
+        if sign:  # the sign holds on a grid through the feature points
+            vals = e.values(np.linspace(-4.0, 4.0, 801))
+            assert np.all(sign * vals[np.isfinite(vals)] >= 0.0)
 
     def test_parser_and_operators_agree(self):
         for src, built in [
@@ -450,8 +503,8 @@ class TestMetadataTable:
             ("x*(abs(x)+1)^(-2.5) - exp(-x^2)", P("x*(abs(x)+1)^(-2.5)") - P("exp(-x^2)")),
         ]:
             e = P(src)
-            assert (e.singularities, e.kinks, e.support, e.decay) == (
-                built.singularities, built.kinks, built.support, built.decay), src
+            assert (e.singularities, e.kinks, e.support, e.decay, e.sign) == (
+                built.singularities, built.kinks, built.support, built.decay, built.sign), src
 
 
 class TestAffine:

@@ -320,14 +320,21 @@ class TestSignChanges:
         # and at the first midpoint of the bracket [2/3, 4/3], which collapses
         assert find_sign_changes(parse_expr("x - 1"), 0.0, 2.0, 3) == [1.0]
 
+    def test_floor_drops_only_brackets_small_at_both_ends(self):
+        f = parse_expr("1e-3*(x - 0.5)")
+        # one cell [0, 1]: -5e-4 and 5e-4 at its ends, both below the floor
+        assert find_sign_changes(f, 0.0, 1.0, 1, 1e-3) == []
+        # one cell [0, 2]: -5e-4 and 1.5e-3, one end above it
+        assert find_sign_changes(f, 0.0, 2.0, 1, 1e-3) == pytest.approx([0.5], abs=1e-15)
+
     @pytest.mark.parametrize("name,f,a,b,n", list(_scan_cases()),
                              ids=[c[0] for c in _scan_cases()])
     def test_batched_matches_scalar_bisection(self, name, f, a, b, n):
         assert find_sign_changes(f, a, b, n) == scalar_sign_changes(f, a, b, n)
 
     def test_few_brackets_take_several_steps_a_call(self, monkeypatch):
-        # two brackets: the 15 midpoints of 4 steps each per call, so one
-        # scan and 15 calls for the 60 steps
+        # two brackets: the 15 midpoints of 4 steps each per call; the
+        # brackets reach adjacent floats after 11 calls (44 steps), not 60
         values, calls = FunctionExpr.values, []
 
         def counted(self, xs):
@@ -336,13 +343,30 @@ class TestSignChanges:
 
         monkeypatch.setattr(FunctionExpr, "values", counted)
         zeros = find_sign_changes(parse_expr("sin(x)"), 0.5, 7.0)
-        assert len(calls) <= 16 and calls[1:] == [30] * 15
+        assert len(calls) <= 12 and calls[1:] == [30] * 11
         assert np.allclose(zeros, [math.pi, 2 * math.pi], rtol=0.0, atol=1e-12)
+
+    def test_brackets_stop_at_adjacent_floats(self, monkeypatch):
+        # weierstrass(6) at lp_norm's 8 points a wavelength: 240 brackets
+        # of width 1e-3, one midpoint each a call; every bracket reaches
+        # adjacent floats before step 45, and the zeros are those of 60 steps
+        m = weierstrass()
+        reference = scalar_sign_changes(m.expr, -8.0, 8.0, 15551)
+        values, calls = FunctionExpr.values, []
+
+        def counted(self, xs):
+            calls.append(np.size(xs))
+            return values(self, xs)
+
+        monkeypatch.setattr(FunctionExpr, "values", counted)
+        assert find_sign_changes(m.expr, -8.0, 8.0, 15551) == reference
+        assert len(reference) == 240 and len(calls) <= 46
 
     def test_weierstrass_scan_resolves_wavelength(self, monkeypatch):
         # lp_norm scans 8 points per oscillation wavelength: a 2,048-cell
         # grid misses the zero pairs that fall inside one cell
         m = weierstrass()
+        cfg = QuadConfig.from_env(osc_wavelength=m.osc_wavelength)
         values, find = FunctionExpr.values, quadrature.find_sign_changes
         calls, found = [], []
 
@@ -350,18 +374,37 @@ class TestSignChanges:
             calls.append(1)
             return values(self, xs)
 
-        def spy(f, a, b, n):
+        def spy(f, a, b, n, floor):
             monkeypatch.setattr(FunctionExpr, "values", counted)
-            found.append(find(f, a, b, n))
+            found.append(find(f, a, b, n, floor))
             monkeypatch.setattr(FunctionExpr, "values", values)
-            return found[-1]
+            found.append(find(f, a, b, n))  # every zero, as at floor 0
+            return found[-2]
 
         monkeypatch.setattr(quadrature, "find_sign_changes", spy)
-        norm = lp_norm(m.expr, 1.0, QuadConfig.from_env(osc_wavelength=m.osc_wavelength))
-        assert len(found) == 1 and len(found[0]) == 240
+        norm = lp_norm(m.expr, 1.0, cfg)
+        kept, every = found
+        assert len(every) == 240
+        # lp_norm's floor (1e-10 / (100 * 16))^1 = 6.25e-14 drops the 90
+        # zeros of the e^(-x^2) tail, where |f| is below it at both ends
+        dropped = sorted(set(every) - set(kept))
+        assert len(kept) == 150 and len(dropped) == 90 and set(kept) <= set(every)
+        assert np.abs(m.expr.values(np.array(dropped))).max() < 6.25e-14
         # one scan plus at most 60 bisection steps over all brackets at once
         assert len(calls) <= 62
         assert abs(norm - WEIERSTRASS_L1) <= 1e-12 * WEIERSTRASS_L1
+
+    def test_norm_of_a_known_sign_takes_no_scan(self, monkeypatch):
+        # L^2 norms: e^(-x^2) >= 0 and -chi_(0,2) <= 0 take no scan, while
+        # x e^(-x^2), of unknown sign, takes one
+        find, scanned = quadrature.find_sign_changes, []
+        monkeypatch.setattr(quadrature, "find_sign_changes",
+                            lambda f, *args: scanned.append(f) or find(f, *args))
+        for src, norm in [("exp(-x^2)", (math.pi / 2) ** 0.25), ("-indicator(0,2)", 2.0 ** 0.5),
+                          ("x*exp(-x^2)", (math.pi / 32) ** 0.25)]:
+            f = parse_expr(src)
+            assert lp_norm(f, 2.0) == pytest.approx(norm, rel=1e-10)
+            assert scanned == ([f] if src.startswith("x") else []), src
 
 
 def reference_tanh_sinh(fn, owner, a, b, cfg):
