@@ -243,13 +243,13 @@ def _product_rows(res, xs, density_first):
     family's err_est."""
     prim = res.payload.F.values(xs)
     fn = res.diagnostics.get("density")
-    dens = None if fn is None else res.density_at(xs)
+    dens = None if fn is None else fn(xs)
     rows = []
     for i, x in enumerate(xs):
         pair = [(f"primitive({x:g})", float(prim[i]), 0.0)]
-        if dens is not None:  # max_err is 0 for the exact zero product
+        if dens is not None:
             pair.insert(0 if density_first else 1,
-                        (f"density({x:g})", float(dens[i]), getattr(fn, "max_err", 0.0)))
+                        (f"density({x:g})", float(dens[i]), fn.max_err))
         rows += pair
     return rows
 

@@ -120,11 +120,9 @@ def conv_lq(f, g, r, cfg=None, tol=None):
     norm_g, *tail_norms = lp_norms(g, q, cfg, cuts, _tail_weight)
     if norm_g == 0.0:
         zero = parse_expr("0*indicator(0,1)")
-        return ConvolutionResult(
-            "lq",
-            PrimitiveDistribution(zero, r, _norm=0.0),
-            {"young_bound": 0.0, "cauchy_tail": [], "density": np.zeros_like},
-        )
+        return ConvolutionResult("lq", PrimitiveDistribution(zero, r, _norm=0.0),
+                                 {"young_bound": 0.0, "cauchy_tail": [],
+                                  "density": ConvolutionValues(zero, zero, cfg, "convolution")})
     H, err = _conv_primitive(f.F, g, cfg, 10.0 * cfg.abs_tol if tol is None else tol)
     dist = PrimitiveDistribution(H, r, cfg)
     tails = [(n, m, f.norm * dq) for (n, m), dq in zip(_TAIL_PAIRS, tail_norms)]
@@ -166,7 +164,7 @@ def star(f, g, cfg=None, tol=None):
     if f.norm == 0.0 or g.norm == 0.0:
         zero = parse_expr("0*indicator(0,1)")
         return ConvolutionResult("star", PrimitiveDistribution(zero, 1.0, _norm=0.0),
-                                 {"density": np.zeros_like})
+                                 {"density": ConvolutionValues(zero, zero, cfg, "convolution")})
     H, err = _conv_primitive(f.F, g.F, cfg, 5.0 * cfg.abs_tol if tol is None else tol)
     dist = PrimitiveDistribution(H, 1.0, cfg)
     Gp = _try_diff(g.F)

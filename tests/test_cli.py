@@ -220,6 +220,16 @@ class TestSubcommands:
         assert len(dens) == 4
         assert all(0.0 < e <= max(1e-10, 1e-8 * abs(v)) for v, e in dens)
 
+    @pytest.mark.parametrize("argv", [
+        ("conv", "--p", "1", "--r", "1", "--F", "indicator(0,1)", "--g", "0*exp(-x^2)"),
+        ("star", "--F", "0*indicator(0,1)", "--G", "exp(-x^2)"),
+    ], ids=["conv", "star"])
+    def test_zero_product_density_rows_are_exact(self, argv):
+        report, code = run(*argv, "--x=-0.5,0,0.7")
+        assert code == 0
+        dens = [(v, e) for label, v, e in report.outputs if label.startswith("density(")]
+        assert dens == [(0.0, 0.0)] * 3
+
 
 class TestOutputContract:
     def test_deterministic_csv(self):

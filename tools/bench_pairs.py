@@ -1,19 +1,23 @@
 """Alternating benchmark pairs: a parent commit against the working tree.
 
-    python3 tools/bench_pairs.py --out BENCH_23.json --pairs 10 --seconds 27 \\
-        --workloads convolution,duality --first-seed 2301 --claim convolution.answers_per_s
+    python3 tools/bench_pairs.py --out BENCH_23.json --parent 8078d84 \\
+        --workloads convolution,duality,halfplane,fourier --first-seed 2301 --traced-seed 4
 
-Run from the root of a checkout.  The parent (``--parent``, default HEAD)
-is exported with ``git archive`` into a temporary directory; the change
-is the working tree as it stands.  For each workload, pair k runs
-``lprimbench/run.py --seed S --trace 0`` once in each tree, with its own
-seed S; the parent runs first in odd pairs and the change first in even
-ones, and the workloads take turns by round, in reversed order every
-other round.  The output holds every run's JSON line and a summary per
-workload and end-to-end metric of BENCHMARK.json: both sides' medians
-and quartiles and the pairs the change won.  With ``--traced-seed`` each
-side also makes one ``--trace 1`` run per workload, whose per-layer
-metrics are kept.  The file is rewritten after every pair.
+Run from the root of a checkout.  The parent commit (``--parent``) is
+exported with ``git archive`` into a temporary directory; the change is
+the working tree as it stands.  For each workload, pair k of 10 runs
+``lprimbench/run.py --seed S --seconds 27 --trace 0`` once in each tree,
+with its own seed S = first_seed + 10 i + k for workload i; the parent
+runs first in odd pairs and the change first in even ones, and the
+workloads take turns by round, in reversed order every other round.
+Ten pairs of 27 s runs are what the benchmark's method asks of a claim.
+The output holds every run's JSON line and a summary per workload and
+end-to-end metric of BENCHMARK.json: both sides' medians and quartiles
+and the pairs the change won.  With ``--traced-seed`` each side also
+makes one 4 s ``--trace 1`` run per workload, whose per-layer metrics
+are kept, and ``tools/count_sign_changes.py`` counts each side's
+sign-change searches over one warm pass of that seed.  The file is
+rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -31,20 +35,19 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
+SECONDS = 27.0
+TRACED_SECONDS = 4.0
 
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
-    ap.add_argument("--parent", default="HEAD", help="the parent revision (default HEAD)")
+    ap.add_argument("--parent", required=True, help="the parent commit")
     ap.add_argument("--workloads", default="duality,convolution,halfplane,fourier")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=27.0)
     ap.add_argument("--first-seed", type=int, required=True,
                     help="workload i's pair k runs seed first_seed + 10 i + k")
-    ap.add_argument("--claim", default="", help="the claimed workload.metric, recorded")
     ap.add_argument("--traced-seed", type=int, default=None)
-    ap.add_argument("--traced-seconds", type=float, default=4.0)
     return ap.parse_args(argv)
 
 
@@ -100,11 +103,21 @@ def summarise(runs, metrics):
     return summary
 
 
+def counts(tree, seed):
+    """tools/count_sign_changes.py over ``tree``'s seed-``seed`` streams."""
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "count_sign_changes.py"),
+                          "--tree", tree, "--seed", str(seed)],
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
     workloads = args.workloads.split(",")
+    seeds = ", ".join(f"{w} seeds {args.first_seed + 10 * i}-{args.first_seed + 10 * i + PAIRS - 1}"
+                      for i, w in enumerate(workloads))
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
         rev = export(args.parent, parent)
         trees = {"parent": parent, "change": ROOT}
@@ -113,12 +126,12 @@ def main(argv=None):
                            "for the working tree, run alternately on one machine "
                            "(tools/bench_pairs.py)",
             "command": f"python3 lprimbench/run.py --workload W --seed N "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {SECONDS:g} --trace 0",
             "machine": {"cpu": f"{os.cpu_count()} cores", "python": platform.python_version(),
                         "numpy": np.__version__, "os": platform.system()},
-            "plan": f"{args.pairs} pairs per workload, interleaved by round; workload i "
-                    f"(of {args.workloads}) pair k runs seed {args.first_seed} + 10 i + k; "
-                    "the parent runs first in odd pairs. Claimed: " + (args.claim or "none"),
+            "plan": f"{PAIRS} pairs per workload at --seconds {SECONDS:g}, interleaved by round "
+                    f"(workload order reversed every other round): {seeds}. The parent ran "
+                    "first in pairs " + ", ".join(str(k + 1) for k in range(0, PAIRS, 2)) + ".",
             "summary": {}, "runs": []}
 
         def save():
@@ -127,19 +140,28 @@ def main(argv=None):
                 json.dump(doc, fh, indent=1)
 
         if args.traced_seed is not None:
-            doc["traced"] = {"seed": args.traced_seed, "seconds": args.traced_seconds}
+            doc["traced"] = {
+                "seed": args.traced_seed, "seconds": TRACED_SECONDS,
+                "description": f"python3 lprimbench/run.py --workload W --seed "
+                               f"{args.traced_seed} --seconds {TRACED_SECONDS:g} --trace 1, "
+                               "one run per side; per-pass per-layer metrics"}
             for side, tree in trees.items():
                 for w in workloads:
-                    run = run_once(tree, w, args.traced_seed, args.traced_seconds, 1)
+                    run = run_once(tree, w, args.traced_seed, TRACED_SECONDS, 1)
                     doc["traced"].setdefault(side, {})[w] = (
                         run["result"] and run["result"]["metrics"])
-        for k in range(args.pairs):
+            doc[f"counts_seed{args.traced_seed}"] = {
+                "description": "tools/count_sign_changes.py: one warm in-process pass over "
+                               "each stream with a counting wrapper on "
+                               "quadrature.find_sign_changes",
+                **{side: counts(tree, args.traced_seed) for side, tree in trees.items()}}
+        for k in range(PAIRS):
             order = workloads if k % 2 == 0 else workloads[::-1]
             for w in order:
                 seed = args.first_seed + 10 * workloads.index(w) + k
                 sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in sides:
-                    run = run_once(trees[side], w, seed, args.seconds, 0)
+                    run = run_once(trees[side], w, seed, SECONDS, 0)
                     doc["runs"].append({"side": side, **run})
                     print(side, w, seed, run["exit"], run["result"] and
                           run["result"]["metrics"]["answers_per_s"]["value"], flush=True)
