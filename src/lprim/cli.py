@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from .convolution import conv_lq, star
 from .errors import LprimError, SchemaError
 from .expr import FunctionExpr
-from .fourier import fourier, parseval_check, transform_of
+from .fourier import ComplexValue, parseval_check, transform_of
 from .higher import IteratedMultiplier, NthDistribution, pair_n
 from .lpspace import (
     DeltaTrain,
@@ -304,9 +304,12 @@ def _run(args, cfg):
         rows += _product_rows(res, _floats(args.x), density_first=True)
     elif cmd == "fourier":
         f = PrimitiveDistribution(_expr_arg(args.F), 1.0, cfg=cfg)
-        Fhat = transform_of(f, cfg)  # every s shares f's samplings
-        for s in _floats(args.s):
-            v = Fhat.at(s) if args.primitive_only else fourier(f, s, cfg)
+        ss = _floats(args.s)
+        values, errs = transform_of(f, cfg).values(ss)  # one call for every s
+        for s, z, e in zip(ss, values, errs):
+            v = ComplexValue(float(z.real), float(z.imag), float(e))
+            if not args.primitive_only:
+                v = ComplexValue(0.0, s) * v  # f^(s) = is F^(s), as fourier computes it
             rows.append((_fmt(s), v.re, v.im, v.err_est))
     elif cmd == "parseval":
         f = PrimitiveDistribution(_expr_arg(args.F), 2.0, cfg=cfg)

@@ -147,8 +147,9 @@ class Transform:
 def transform_of(f, cfg=None):
     """The Transform of f's primitive that the distribution f keeps, so that
     all values of f^ share its samplings; a new one replaces it when f's
-    primitive or the configuration is not the kept one's."""
-    cfg = cfg or DEFAULT_CONFIG
+    primitive or the configuration (``cfg``, else f's own) is not the kept
+    one's."""
+    cfg = cfg or f._cfg
     t = getattr(f, "_fourier", None)
     if t is None or t.F is not f.F or t.cfg != cfg:
         t = Transform(f.F, cfg)
@@ -206,7 +207,7 @@ def _check_weighted_l1(g, cfg):
 def exchange_identity(f, g, cfg=None):
     """(lhs, rhs) of the exchange identity for f in L'^1 and s g(s) in L^1:
     integral of f^(s) g(s) ds equals the action of f on g^."""
-    cfg = cfg or DEFAULT_CONFIG
+    cfg = cfg or f._cfg
     if f.p != 1.0:
         raise ExponentError("exchange_identity needs f in L'^1")
     _check_weighted_l1(g, cfg)
@@ -253,7 +254,7 @@ def inner_product(f, g, cfg=None):
     """(f, g) = integral of F G for f, g in L'^2."""
     if f.p != 2.0 or g.p != 2.0:
         raise ExponentError("inner_product needs both arguments in L'^2")
-    cfg = cfg or DEFAULT_CONFIG
+    cfg = cfg or f._cfg
     return integrate_line(f.F * g.F, cfg).value
 
 

@@ -24,6 +24,8 @@ Legendre panels adapted to f alone, and the oscillation is integrated
 exactly, so neither the work nor the error grows with s.  The sampling
 is one object, and every s it is called at, in one call or across
 calls, shares it; ``fourier_integral`` builds one and calls it once.
+Its first round samples the core and the first tail shells together, and
+each of its sums takes one spherical_jn call and one einsum per chunk of s.
 """
 
 from __future__ import annotations
@@ -1045,7 +1047,7 @@ _FL_COEF = (np.polynomial.legendre.legvander(_FL_T, _FL_N - 1) * _FL_W[:, None]
 _FL_MOMENT = 2.0 * (-1j) ** np.arange(_FL_N)
 _FL_TAIL = 4  # the trailing coefficients whose sizes bound a panel's error
 _FL_TERMS = 4  # terms of the asymptotic sum for power-decay tails
-_FL_MOMENT_BATCH = 1 << 18  # moments per spherical_jn call, at most
+_FL_MOMENT_BATCH = 1 << 18  # elements of a _filon_sum temporary, at most
 # the tolerance is absolute, as |F^(s)| spans many orders of magnitude over
 # s; for large F it is at least this share of the L^1 mass, near rounding
 _FL_FLOOR = 256 * np.finfo(float).eps
@@ -1129,13 +1131,12 @@ def _fl_segments(f, a, b, cfg, hmax):
 
 
 def _fl_groups(lo, hi, coef):
-    """The panels [lo, hi] grouped by half-width, for _filon_sum: the
-    distinct half-widths, and for each the panels' midpoints and their
-    Legendre coefficients times the moment factors 2 (-i)^k."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    weighted = coef * _FL_MOMENT
-    widths = np.unique(half)
-    return widths, [(mid[sel], weighted[sel]) for sel in (half == h for h in widths)]
+    """The panels [lo, hi] for _filon_sum: the distinct half-widths, each
+    panel's index into them, the panels' midpoints, and their Legendre
+    coefficients times the half-width and the moment factors 2 (-i)^k."""
+    half = 0.5 * (hi - lo)
+    widths, which = np.unique(half, return_inverse=True)
+    return widths, which, 0.5 * (lo + hi), coef * (half[:, None] * _FL_MOMENT)
 
 
 def _sp_spherical_jn(k, z):
@@ -1151,23 +1152,19 @@ def _sp_spherical_jn(k, z):
 
 def _filon_sum(groups, s):
     """Sum over the panels of ``groups`` (_fl_groups) of the integral of
-    each panel's Legendre series times e^{-isx}, for every s; panels of
-    equal width share moments, which come from one spherical_jn call per
-    chunk of (s, width) pairs."""
-    widths, parts = groups
+    each panel's Legendre series times e^{-isx}, for every s: per chunk of
+    s, one spherical_jn call gives the moments of the distinct widths and
+    one einsum sums over all panels and k.  A chunk's temporaries hold at
+    most _FL_MOMENT_BATCH elements (one s at least)."""
+    widths, which, mid, weighted = groups
     k = np.arange(_FL_N)
-    out = np.zeros(s.size, dtype=complex)
-    pairs = max(1, _FL_MOMENT_BATCH // _FL_N)  # (s, width) pairs per call
-    nw = max(1, min(widths.size, pairs // max(1, s.size)))  # widths per call
-    for i in range(0, s.size, pairs // nw):  # every s at once, unless many
-        sq = s[i:i + pairs // nw]
-        for c in range(0, widths.size, nw):
-            moments = _sp_spherical_jn(k, sq[:, None, None] * widths[c:c + nw, None])
-            # moments (q, k) of each width, with its panels
-            for h, m, (mid, weighted) in zip(widths[c:c + nw], moments.transpose(1, 0, 2),
-                                             parts[c:c + nw]):
-                phase = np.exp(-1j * np.outer(sq, mid))
-                out[i:i + sq.size] += h * np.einsum("qk,qk->q", m, phase @ weighted)
+    out = np.empty(s.size, dtype=complex)
+    step = max(1, _FL_MOMENT_BATCH // (_FL_N * max(1, mid.size)))  # s per chunk
+    for i in range(0, s.size, step):
+        sq = s[i:i + step]
+        moments = _sp_spherical_jn(k, sq[:, None, None] * widths[:, None])  # (q, width, k)
+        out[i:i + step] = np.einsum("qpk,pk,qp->q", moments[:, which], weighted,
+                                    np.exp(-1j * np.outer(sq, mid)))
     return out
 
 
@@ -1251,8 +1248,10 @@ class FourierSampling:
     shell's mass bounds the rest (the shells stay in x: pulled back to
     (0, 1] as the line integrals' tails are, e^{-isx} would be a chirp);
     power decay takes the asymptotic sum of _asymptotic_tails; decay 'none'
-    is accepted only with vanishing shells.  The error estimate sums the panels' Legendre tails, the
-    tanh-sinh errors and the tail bound.
+    is accepted only with vanishing shells.  The core and the first two
+    shell pairs, which every stop reads, are sampled in one _fl_segments
+    call, and each later shell pair in one of its own.  The error estimate
+    sums the panels' Legendre tails, the tanh-sinh errors and the tail bound.
 
     Every call shares one sampling.  The panels depend on f alone and are
     sampled on the first call, but for two parts that grow with the calls:
@@ -1281,9 +1280,22 @@ class FourierSampling:
         self._table = None  # the power tail's _power_tail_table
         self._r = None  # the outer radius of the power-tail shells so far
 
-    def _sample(self, a, b, hmax=math.inf):
-        """_fl_segments of f on [a[j], b[j]]; (panels, pieces, err, ok, mass)."""
-        return _fl_segments(self.f, a, b, self.cfg, hmax)
+    def _sample(self, rs, a=(), b=()):
+        """One _fl_segments call on the segments [a[j], b[j]] and the shell
+        pairs [r, 2r], [-2r, -r] of every r of ``rs``, split into blocks
+        (lo, hi, coef, err, ok, mass): the segments', then one per pair."""
+        rs = np.asarray(rs, dtype=float)
+        ends = len(a) + 2 * np.arange(rs.size + 1)
+        (lo, hi, coef, seg), _, err, ok, mass = _fl_segments(
+            self.f, np.concatenate([a, np.column_stack([rs, -2 * rs]).ravel()]),
+            np.concatenate([b, np.column_stack([2 * rs, -rs]).ravel()]), self.cfg, math.inf)
+        blk = np.searchsorted(ends, seg, side="right")
+        blocks = []
+        for i, (u, v) in enumerate(zip(np.concatenate([[0], ends[:-1]]), ends)):
+            sel = blk == i
+            blocks.append((lo[sel], hi[sel], coef[sel], err[u:v].sum(), bool(ok[u:v].all()),
+                           mass[u:v].sum()))
+        return blocks
 
     def _setup(self):
         """The panels that do not depend on s: the core segments apart from
@@ -1301,23 +1313,26 @@ class FourierSampling:
         a, b = pieces(lo, max(r, lo))
         sing = np.array(f.singularities, dtype=float)
         graded = np.isin(a, sing) | np.isin(b, sing)
-        (lo, hi, coef, _), _, err, ok, _ = self._sample(a[~graded], b[~graded])
+        kind = f.decay[0] if f.support is None else None
+        shells = kind not in (None, "power")
+        # the core and the two shell pairs that every stop below reads
+        first = [r * 2.0 ** k for k in range(2) if shells and r * 2.0 ** k < _TRUNCATION_RADIUS]
+        core, *ahead = self._sample(first, a[~graded], b[~graded])
         # a block without panels carries the bound on the tails beyond it
-        blocks = [(0.0, lo, hi, coef, err.sum(), bool(ok.all()))]
-        if f.support is None and f.decay[0] == "power":
+        blocks = [(0.0,) + core[:5]]
+        if kind == "power":
             self._table, self._r = _power_tail_table(f, r, cfg), r
-        elif f.support is None:
+        elif shells:
             # gaussian / exponential / none: doubling shells in x, where the
             # Legendre panels of e^{-isx} stay polynomial-like at every s
-            kind = f.decay[0]
             prev, quiet = np.nan, 0
             while True:
                 if r >= _TRUNCATION_RADIUS:
                     blocks.append((0.0,) + _NO_PANELS[:3] + (0.0, False))
                     break
-                (lo, hi, coef, _), _, err, ok, mass = self._sample([r, -2 * r], [2 * r, -r])
-                blocks.append((0.0, lo, hi, coef, err.sum(), bool(ok.all())))
-                mass = mass.sum() + err.sum()
+                lo, hi, coef, err, ok, mass = ahead.pop(0) if ahead else self._sample([r])[1]
+                blocks.append((0.0, lo, hi, coef, err, ok))
+                mass += err
                 r *= 2
                 if kind == "none":
                     if mass != 0.0:
@@ -1338,7 +1353,7 @@ class FourierSampling:
 
     def _extend(self, R):
         """The power-tail shells [r, 2r] and [-2r, -r] from the outermost
-        one sampled so far out to R, one block per shell pair."""
+        one sampled so far out to R, in one _sample call, one block per pair."""
         rs = []
         r = self._r
         while r < R:
@@ -1346,14 +1361,7 @@ class FourierSampling:
             r *= 2
         if not rs:
             return
-        rs = np.array(rs)
-        n = rs.size
-        (lo, hi, coef, seg), _, err, ok, _ = self._sample(np.concatenate([rs, -2 * rs]),
-                                                          np.concatenate([2 * rs, -rs]))
-        for j in range(n):
-            sel = (seg == j) | (seg == j + n)
-            self._blocks.append((2 * rs[j], lo[sel], hi[sel], coef[sel],
-                                 err[j] + err[j + n], bool(ok[j] and ok[j + n])))
+        self._blocks += [(2 * q,) + blk[:5] for q, blk in zip(rs, self._sample(rs)[1:])]
         self._r = r
 
     def __call__(self, s):
@@ -1364,7 +1372,8 @@ class FourierSampling:
             self._setup()
         hmax = 1.0 / np.max(np.abs(s))
         if hmax < self._grade and self._graded_ab[0].size:
-            (lo, hi, coef, _), self._pieces, err, ok, _ = self._sample(*self._graded_ab, hmax)
+            (lo, hi, coef, _), self._pieces, err, ok, _ = _fl_segments(
+                self.f, *self._graded_ab, self.cfg, hmax)
             self._graded = (lo, hi, coef, err.sum(), bool(ok.all()))
             self._grade = hmax
             self._joined.clear()

@@ -165,6 +165,39 @@ class TestSubcommands:
             assert err_est >= error
         assert render_csv(report).splitlines()[1].count(",") == 3
 
+    @pytest.mark.parametrize("F, ss, primitive_only", [
+        ("indicator(-1,1)", "1,2,3.14159", False),
+        ("exp(-x^2)", "0.5,3,49,50,51,120,999", False),
+        ("exp(-x^2)", "-60,-3,7.7,200", True)])
+    def test_fourier_rows_equal_the_per_s_values(self, F, ss, primitive_only):
+        # one Transform.values call for the whole --s list gives the rows
+        # that one fourier (or Transform.at) call per s gives
+        from lprim.fourier import fourier, transform_of
+        from lprim.parser import parse_expr
+
+        argv = ["fourier", "--F", F, f"--s={ss}"] + ["--primitive-only"] * primitive_only
+        report, code = run(*argv)
+        assert code == 0
+        f = PrimitiveDistribution(parse_expr(F), 1.0)
+        for (label, re, im, err_est), s in zip(report.outputs, ss.split(",")):
+            v = transform_of(f).at(float(s)) if primitive_only else fourier(f, float(s))
+            assert (label, re, im, err_est) == ("%.17g" % float(s), v.re, v.im, v.err_est)
+
+    def test_fourier_names_the_unconverged_s(self, monkeypatch):
+        from lprim import cli
+        from lprim.quadrature import QuadConfig
+
+        class Shallow:
+            @staticmethod
+            def from_env(**overrides):
+                return QuadConfig(max_depth=1, **overrides)
+
+        monkeypatch.setattr(cli, "QuadConfig", Shallow)
+        report, code = run("fourier", "--F", "exp(-x^2)", "--s", "0.5,3")
+        assert code == 1
+        [(label, message, _)] = report.outputs
+        assert label == "error" and "fourier: transform at s=0.5 did not converge" in message
+
     def test_parseval(self):
         report, code = run(
             "parseval", "--F", "exp(-x^2)", "--G", "exp(-x^2)"

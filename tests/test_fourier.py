@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -171,6 +172,16 @@ class TestFilonRule:
         return out
 
     @staticmethod
+    def rounding_bound(lo, hi, coef, s):
+        # 64 eps times the sum over panels and k of |h moment coefficient|:
+        # the one einsum adds the per-width loop's terms in another order
+        half = 0.5 * (hi - lo)
+        k = np.arange(quadrature._FL_N)
+        moments = np.abs(spherical_jn(k, s[:, None, None] * half[:, None]))
+        terms = np.abs(coef * quadrature._FL_MOMENT) * half[:, None]
+        return 64 * np.finfo(float).eps * np.einsum("qpk,pk->q", moments, terms)
+
+    @staticmethod
     def batched(monkeypatch, n_panels, widths, s, batch=1 << 18):
         rng = np.random.default_rng(7)
         lo = np.sort(rng.uniform(-8.0, 8.0, n_panels))
@@ -179,28 +190,31 @@ class TestFilonRule:
         calls = []
 
         def counted(k, z):
-            calls.append(z.size)
+            calls.append(np.broadcast(k, z).size)
             return spherical_jn(k, z)
 
         monkeypatch.setattr(quadrature, "_FL_MOMENT_BATCH", batch)
         monkeypatch.setattr(quadrature, "_sp_spherical_jn", counted)
         got = quadrature._filon_sum(quadrature._fl_groups(lo, hi, coef), s)
-        return got, TestFilonRule.per_width(lo, hi, coef, s), calls
+        want = TestFilonRule.per_width(lo, hi, coef, s)
+        assert np.all(np.abs(got - want) <= TestFilonRule.rounding_bound(lo, hi, coef, s))
+        return calls
 
     @pytest.mark.parametrize("batch", (1 << 18, 200))
     def test_batched_moments_match_the_per_width_loop(self, batch, monkeypatch):
         s = np.array([-3.0, 0.5, 7.0, 120.0])
-        got, want, calls = self.batched(monkeypatch, 40, [0.125, 0.25, 0.5, 1.0, 2.0], s, batch)
-        assert np.array_equal(got, want)
-        # 5 widths at 4 s and 32 moments: one call, or one per width at 200
-        assert len(calls) == (1 if batch > 5 * 4 * 32 else 5)
+        calls = self.batched(monkeypatch, 40, [0.125, 0.25, 0.5, 1.0, 2.0], s, batch)
+        # 5 widths at 4 s and 32 moments: one call, or one per s at 200,
+        # where a single s's 40 panels already pass the batch
+        assert len(calls) == (1 if batch > 40 * 4 * 32 else 4)
+        assert max(calls) <= batch
 
     def test_many_s_are_chunked_too(self, monkeypatch):
-        # 8,200 s at 32 moments is more than 2^18: two chunks of s per width
+        # 8,200 s at 6 panels and 32 moments is more than 2^18 terms: chunks
+        # of 2^18 // (6 * 32) = 1,365 s, 2 widths each
         s = np.linspace(-50.0, 50.0, 8200)
-        got, want, calls = self.batched(monkeypatch, 6, [0.5, 1.0], s)
-        assert np.array_equal(got, want)
-        assert len(calls) == 4 and max(calls) <= 1 << 18
+        calls = self.batched(monkeypatch, 6, [0.5, 1.0], s)
+        assert len(calls) == 7 and max(calls) <= 1 << 18
 
     def test_unmet_tolerance_raises_naming_layer_and_s(self):
         with pytest.raises(ConvergenceError, match=r"fourier: .*s=3\.0"):
@@ -282,6 +296,114 @@ class TestReuse:
         assert seen[0] > 0
         kept = transform_of(f)
         assert transform_of(f, QuadConfig(abs_tol=1e-9)) is not kept
+
+
+class TestSamplingCalls:
+    """A fresh sampling takes the core and the first two shell pairs in one
+    _fl_segments call; its blocks are those of separate samplings."""
+
+    @pytest.mark.parametrize("src, most", [("exp(-x^2)", 3), ("exp(-abs(x))", 2),
+                                           ("exp(-(x-1.37)^2)", 1)])
+    def test_fresh_sampling_rounds(self, src, most, monkeypatch):
+        # 5, 4 and 3 rounds when the core and each shell pair were sampled apart
+        calls = []
+        fl_eval = quadrature._fl_eval
+
+        def spy(f, lo, hi):
+            calls.append(lo.size)
+            return fl_eval(f, lo, hi)
+
+        monkeypatch.setattr(quadrature, "_fl_eval", spy)
+        assert quadrature.FourierSampling(parse_expr(src))(3.0).converged.all()
+        assert len(calls) <= most, calls
+
+    @pytest.mark.parametrize("src", ["exp(-x^2)", "x*exp(-x^2)", "exp(-abs(x))",
+                                     "exp(-(x-1.37)^2)", "abs(x)^(-0.5)*exp(-x^2)",
+                                     "exp(-abs(x)/64)"])
+    def test_blocks_equal_separate_samplings(self, src, monkeypatch):
+        F = parse_expr(src)
+        segments = quadrature._fl_segments
+        calls = []
+
+        def spy(f, a, b, cfg, hmax):
+            calls.append((np.array(a), np.array(b), hmax))
+            return segments(f, a, b, cfg, hmax)
+
+        monkeypatch.setattr(quadrature, "_fl_segments", spy)
+        fs = quadrature.FourierSampling(F)
+        fs(3.0)
+        a, b, _ = calls[0]
+        r = a[-4]
+        assert np.array_equal(a[-4:], [r, -2 * r, 2 * r, -4 * r])
+        assert np.array_equal(b[-4:], [2 * r, -r, 4 * r, -2 * r])
+        shells = [blk for blk in fs._blocks[1:] if blk[1].size]
+        assert len(shells) >= 2
+        # one more call per shell pair beyond the first two, and the
+        # singular grading's
+        assert len([c for c in calls if c[2] == math.inf]) == len(shells) - 1
+        alone = [segments(F, a[:-4], b[:-4], fs.cfg, math.inf)]
+        alone += [segments(F, [q, -2 * q], [2 * q, -q], fs.cfg, math.inf)
+                  for q in r * 2.0 ** np.arange(len(shells))]
+        for blk, ((lo, hi, coef, _), _, err, ok, _) in zip(fs._blocks, alone):
+            assert blk[0] == 0.0
+            for got, want in zip(blk[1:4], (lo, hi, coef)):
+                assert np.array_equal(got, want)
+            assert blk[4] == err.sum() and blk[5] == ok.all()
+
+    def test_power_tail_blocks_equal_separate_samplings(self):
+        F = parse_expr("(x^2+1)^(-1)")
+        fs = quadrature.FourierSampling(F)
+        fs(0.5)
+        shells = fs._blocks[1:]
+        assert len(shells) >= 2
+        for reach, lo, hi, coef, err, ok in shells:
+            q = 0.5 * reach
+            (lo1, hi1, coef1, _), _, err1, ok1, _ = quadrature._fl_segments(
+                F, [q, -2 * q], [2 * q, -q], fs.cfg, math.inf)
+            assert np.array_equal(lo, lo1) and np.array_equal(hi, hi1)
+            assert np.array_equal(coef, coef1)
+            assert err == err1.sum() and ok == ok1.all()
+
+    def test_none_decay_with_nonzero_shell_raises(self):
+        F = parse_expr("sin(x)")
+        assert F.support is None and F.decay[0] == "none"
+        with pytest.raises(ConvergenceError, match="decay class 'none'"):
+            quadrature.FourierSampling(F)(3.0)
+
+
+class TestOwnConfiguration:
+    """Without a cfg, the Fourier operations on f integrate and sample with
+    f's configuration."""
+
+    CFG = QuadConfig(abs_tol=1e-6, rel_tol=1e-5)
+
+    def test_operations_use_the_distribution_configuration(self, monkeypatch):
+        module = sys.modules[Transform.__module__]
+        seen = []
+        for name in ("FourierSampling", "integrate_line"):
+            def spy(*args, _engine=getattr(module, name), **kwargs):
+                seen.append(args[1])
+                return _engine(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        cfg = self.CFG
+        F = parse_expr("exp(-abs(x))")
+        f = PrimitiveDistribution(F, 1.0, cfg=cfg)
+        f2 = PrimitiveDistribution(F, 2.0, cfg=cfg)
+        operations = {
+            "fourier": lambda: (fourier(f, 3.0), fourier(f, 0.0)),
+            "fourier_n": lambda: fourier_n(NthDistribution(F, 1.0, 2, cfg=cfg), 3.0),
+            "translation_modulation": lambda: translation_modulation(f, 0.5, 3.0),
+            "exchange_identity": lambda: exchange_identity(
+                PrimitiveDistribution(parse_expr("exp(-x^2)"), 1.0, cfg=cfg),
+                parse_expr("exp(-x^2)")),
+            "inner_product": lambda: inner_product(f2, f2),
+        }
+        for name, op in operations.items():
+            seen.clear()
+            op()
+            assert seen and all(c == cfg for c in seen), name
+        assert f._fourier.cfg == cfg
 
 
 class TestDistributionTransform:

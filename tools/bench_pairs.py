@@ -1,7 +1,7 @@
 """Alternating benchmark pairs: a parent commit against the working tree.
 
-    python3 tools/bench_pairs.py --out BENCH_23.json --parent 8078d84 \\
-        --workloads convolution,duality,halfplane,fourier --first-seed 2301 --traced-seed 4
+    python3 tools/bench_pairs.py --out BENCH_24.json --parent 10ac868 \\
+        --workloads fourier,duality,convolution,halfplane --first-seed 2401 --traced-seed 4
 
 Run from the root of a checkout.  The parent commit (``--parent``) is
 exported with ``git archive`` into a temporary directory; the change is
@@ -15,9 +15,9 @@ The output holds every run's JSON line and a summary per workload and
 end-to-end metric of BENCHMARK.json: both sides' medians and quartiles
 and the pairs the change won.  With ``--traced-seed`` each side also
 makes one 4 s ``--trace 1`` run per workload, whose per-layer metrics
-are kept, and ``tools/count_sign_changes.py`` counts each side's
-sign-change searches over one warm pass of that seed.  The file is
-rewritten after every pair.
+are kept, and ``tools/count_work.py`` counts each side's sign-change
+searches and Filon-Legendre sampling rounds over one warm pass of that
+seed.  The file is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def summarise(runs, metrics):
 
 
 def counts(tree, seed):
-    """tools/count_sign_changes.py over ``tree``'s seed-``seed`` streams."""
-    out = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "count_sign_changes.py"),
+    """tools/count_work.py over ``tree``'s seed-``seed`` streams."""
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "count_work.py"),
                           "--tree", tree, "--seed", str(seed)],
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
@@ -151,9 +151,10 @@ def main(argv=None):
                     doc["traced"].setdefault(side, {})[w] = (
                         run["result"] and run["result"]["metrics"])
             doc[f"counts_seed{args.traced_seed}"] = {
-                "description": "tools/count_sign_changes.py: one warm in-process pass over "
-                               "each stream with a counting wrapper on "
-                               "quadrature.find_sign_changes",
+                "description": "tools/count_work.py: one warm in-process pass over "
+                               "each stream with counting wrappers on "
+                               "quadrature.find_sign_changes, quadrature._fl_eval and "
+                               "quadrature._filon_sum",
                 **{side: counts(tree, args.traced_seed) for side, tree in trees.items()}}
         for k in range(PAIRS):
             order = workloads if k % 2 == 0 else workloads[::-1]
