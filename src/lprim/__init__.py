@@ -74,6 +74,7 @@ from .poisson import (
     boundary_gaps,
     extension_n,
     extension_result,
+    extension_results,
     harmonic_extension,
     harmonicity_residual,
     kernel_dx,

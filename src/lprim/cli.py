@@ -32,7 +32,7 @@ from .lpspace import (
     step_approximate,
 )
 from .parser import parse_expr
-from .poisson import HalfPlanePoint, boundary_gaps, extension_result
+from .poisson import HalfPlanePoint, boundary_gaps, extension_results
 from .quadrature import QuadConfig
 from .verify import run_suites
 
@@ -216,9 +216,9 @@ def build_parser():
     c.add_argument("--G", required=True)
     c.add_argument("--grid", type=int, default=2 ** 14)
 
-    c = cmd("poisson", help="Poisson extension value at (x, y)")
+    c = cmd("poisson", help="Poisson extension values at (x, y)")
     c.add_argument("--F", required=True)
-    c.add_argument("--x", type=float, required=True)
+    c.add_argument("--x", required=True, help="comma-separated x values")
     c.add_argument("--y", type=float, required=True)
     c.add_argument("--n", type=int, default=0)
 
@@ -320,10 +320,11 @@ def _run(args, cfg):
         rows.append(("gap", abs(lhs - rhs), 0.0))
     elif cmd == "poisson":
         F = _expr_arg(args.F)
-        pt = HalfPlanePoint(args.x, args.y)
+        pts = [HalfPlanePoint(x, args.y) for x in _floats(args.x)]
         f = NthDistribution(F, 2.0, args.n, cfg=cfg) if args.n >= 1 else F
-        u = extension_result(f, pt, cfg)
-        rows.append((f"u({args.x:g},{args.y:g})", u.value, u.err_est))
+        u = extension_results(f, pts, cfg)  # one angle family for every x
+        for i, pt in enumerate(pts):
+            rows.append((f"u({pt.x:g},{pt.y:g})", float(u.value[i]), float(u.err_est[i])))
     elif cmd == "poisson-converge":
         f = PrimitiveDistribution(_expr_arg(args.F), args.p, cfg=cfg)
         ys = _floats(args.ys)

@@ -544,6 +544,31 @@ def _zero_of(node):
     return None if line is None or line[0] == 0.0 else _root(line)
 
 
+def _zeros(node):
+    """The real points where ``node`` vanishes, where they are known: the
+    root of an affine k*x + d (k != 0) and the real roots of a quadratic
+    (see _quadratic), under abs and positive powers."""
+    if isinstance(node, Call) and node.name == "abs":
+        return _zeros(node.arg)
+    if isinstance(node, Pow) and node.expo > 0:
+        return _zeros(node.base)
+    q = _quadratic(node)
+    if q is None:
+        return ()
+    a, k, d = q
+    if a == 0.0:
+        return () if k == 0.0 else (_root((k, d)),)
+    disc = k * k - 4.0 * a * d
+    if disc < 0.0:
+        return ()
+    # the root of larger size first, then the other from their product d/a,
+    # so that neither is the difference of two near-equal numbers
+    s = -0.5 * (k + math.copysign(math.sqrt(disc), k))
+    if s == 0.0:
+        return (0.0,)
+    return tuple(sorted({s / a + 0.0, d / s + 0.0}))
+
+
 def growth(node):
     """Polynomial growth bound (degree) as |x| -> oo; inf when unknown."""
     if isinstance(node, Const):
@@ -622,6 +647,35 @@ def _line(n):
     return None if line is None else (c * line[0], c * line[1])
 
 
+def _quadratic(n):
+    """``n`` as (a, k, d) with n = a*x^2 + k*x + d, or None when it is not
+    such a polynomial: sums and constant multiples of affine nodes, their
+    squares and products of two of them."""
+    if isinstance(n, (Add, Sub)):
+        qa = _quadratic(n.a)
+        qb = None if qa is None else _quadratic(n.b)
+        if qb is None:
+            return None
+        sign = 1.0 if isinstance(n, Add) else -1.0
+        return tuple(u + sign * v for u, v in zip(qa, qb))
+    c, m = _scaled(n)
+    if m is None:
+        return 0.0, 0.0, c
+    if m is not n:
+        q = _quadratic(m)
+        return None if q is None else tuple(c * u for u in q)
+    if isinstance(n, Pow) and n.expo == 2.0:
+        la = lb = _line(n.base)
+    elif isinstance(n, Mul):
+        la, lb = _line(n.a), _line(n.b)
+    else:
+        line = _line(n)
+        return None if line is None else (0.0, *line)
+    if la is None or lb is None:
+        return None
+    return la[0] * lb[0], la[0] * lb[1] + la[1] * lb[0], la[1] * lb[1]
+
+
 def _root(line):
     """The root of k*x + d, given (k, d) with k != 0."""
     return -line[1] / line[0] + 0.0  # + 0.0: the root 0 without a sign
@@ -666,17 +720,11 @@ def _own_points(node):
     """The singular points and kinks that ``node`` adds to its children's."""
     sing, kinks = set(), set()
     if isinstance(node, Call) and node.name in ("abs", "sgn", "sqrt", "log"):
-        z = _zero_of(node.arg)
-        if z is not None:
-            (sing if node.name == "log" else kinks).add(z)
+        (sing if node.name == "log" else kinks).update(_zeros(node.arg))
     elif isinstance(node, Div):
-        z = _zero_of(node.b)
-        if z is not None:
-            sing.add(z)
+        sing.update(_zeros(node.b))
     elif isinstance(node, Pow) and node.expo < 1 and node.expo != 0:
-        z = _zero_of(node.base)
-        if z is not None:
-            (sing if node.expo < 0 else kinks).add(z)
+        (sing if node.expo < 0 else kinks).update(_zeros(node.base))
     elif isinstance(node, Indicator):
         kinks.update((node.a, node.b))
     elif isinstance(node, Wrapped) and node.cantor_level:

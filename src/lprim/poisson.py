@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ExponentError, IntegrabilityError, LprimError
 from .expr import FunctionExpr, Var, add, const, decay_mul, growth, mul, pow_
-from .quadrature import (DEFAULT_CONFIG, FamilyValues, QuadResult, angle_integral,
+from .quadrature import (DEFAULT_CONFIG, FamilyValues, angle_integral,
                          effective_radius, lp_norm)
 from .sampling import MAX_POINTS, sample_function, sampled_expr
 
@@ -119,14 +119,21 @@ def _order(f):
     return (f.F if hasattr(f, "F") else f), n
 
 
+def extension_results(f, pts, cfg=None):
+    """u_y(x) for f = D^n F (or for F itself) at every HalfPlanePoint of
+    ``pts``, as one angle integral family: a FamilyResult, each point's
+    value with its own error estimate; an unconverged integral raises.
+    It uses F alone and does not read f's norm."""
+    F, n = _order(f)
+    ys = np.array([pt.y for pt in pts], dtype=float)
+    U = _extension_values(F, ys, n, cfg or DEFAULT_CONFIG)
+    return U.results(np.array([pt.x for pt in pts], dtype=float))
+
+
 def extension_result(f, pt, cfg=None):
     """u_y(x) for f = D^n F (or for F itself) as a QuadResult: the value
-    with its error estimate; an unconverged integral raises.  It uses F
-    alone and does not read f's norm."""
-    F, n = _order(f)
-    U = _extension_values(F, pt.y, n, cfg or DEFAULT_CONFIG)
-    value = U.at(pt.x)
-    return QuadResult(value, U.max_err, True)
+    with its error estimate (see extension_results)."""
+    return extension_results(f, (pt,), cfg)[0]
 
 
 def harmonic_extension(F, pt, cfg=None):

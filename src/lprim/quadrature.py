@@ -215,9 +215,9 @@ def _rows(points, n, xs=None):
     return pts[None].repeat(n, axis=0) if xs is None else xs[:, None] - pts
 
 
-def _join(rows):
-    """The row arrays side by side."""
-    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
+def _join(rows, axis=1):
+    """The arrays joined along ``axis``: the row arrays side by side."""
+    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=axis)
 
 
 def _radius(far, window=None, minimum=8.0):
@@ -361,6 +361,15 @@ def _adaptive_gk(fn, owner, a, b, cfg, group=None):
     or when refining would pass _MAX_PANELS panels; no panel goes deeper
     than max_depth.  Done intervals leave the pool.
 
+    Each round splits every panel above its share of the tolerance in
+    halves, except where that panel is its interval's only one to split:
+    then it is cut in quarters (two levels at once, while they stay within
+    max_depth), since a lone refining panel, next to an endpoint feature
+    or a narrow peak, often needs more than one level, and each round
+    costs about as much as its panels.  The rule reads the interval's own
+    count alone, so an owner's value does not depend on which other owners
+    share its rounds.
+
     With ``group``, interval j is a piece of integral group[j]: its
     relative tolerance is taken of the smaller of its own total and the
     integral's, so that pieces which cancel still meet the integral's
@@ -431,21 +440,29 @@ def _adaptive_gk(fn, owner, a, b, cfg, group=None):
                 break
             keep = ~out
             seg, pool, need = seg[keep], pool[keep], need[keep]
-        # split every panel that needs it in halves
-        half = pool[need]
-        m = half.shape[0]
-        half = np.concatenate([half, half])
-        mid = 0.5 * (half[:m, _LO] + half[:m, _HI])
-        half[:m, _HI] = mid
-        half[m:, _LO] = mid
-        half[:, _SHARE] *= 0.5
-        half[:, _DEPTH] += 1.0
-        new_seg = np.tile(seg[need], 2)
-        evaluate(half, new_seg)
-        panels += n_need
+        # split a panel that needs it in halves, or in quarters where it is
+        # its interval's only one and two more levels stay within max_depth
+        four = need & (n_need[seg] == 1) & (pool[:, _DEPTH] + 2.0 <= cfg.max_depth)
+        parts, segs = [], []
+        for cut, k in ((need & ~four, 2), (four, 4)):
+            if not cut.any():
+                continue
+            ends = [pool[cut, _LO], pool[cut, _HI]]
+            while len(ends) <= k:  # halve every part
+                mids = [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]
+                ends = [e for pair in zip(ends, mids) for e in pair] + [ends[-1]]
+            part = np.concatenate([pool[cut]] * k)
+            part[:, _LO], part[:, _HI] = np.concatenate(ends[:-1]), np.concatenate(ends[1:])
+            part[:, _SHARE] /= k
+            part[:, _DEPTH] += k // 2
+            parts.append(part)
+            segs.append(np.concatenate([seg[cut]] * k))
+        new, new_seg = _join(parts, axis=0), _join(segs, axis=0)
+        evaluate(new, new_seg)
+        panels += n_need + 2 * np.bincount(seg[four], minlength=n)
         keep = ~need
         seg = np.concatenate([seg[keep], new_seg])
-        pool = np.concatenate([pool[keep], half])
+        pool = np.concatenate([pool[keep], new])
 
     tol = np.maximum(cfg.abs_tol, cfg.rel_tol * scale(value))
     return FamilyResult(value, err_total, err_total <= tol)
@@ -521,7 +538,8 @@ def _tanh_sinh(fn, owner, a, b, cfg):
     never sampled.  Intervals are refined level by level together and
     leave when their level-to-level change is within tolerance, from
     level 3 on; the nodes of levels 0-3 are evaluated in one call, those
-    of each later level in one call each."""
+    of each later level in one call each.  A non-integrable singularity
+    raises IntegrabilityError naming the first interval that shows it."""
     n = a.size
     value = np.zeros(n)
     err = np.zeros(n)
@@ -532,6 +550,13 @@ def _tanh_sinh(fn, owner, a, b, cfg):
     last3 = np.full((n, 3), np.nan)  # the three latest estimates, newest last
     count = np.zeros(n, dtype=int)
     act = np.nonzero(b > a)[0]
+
+    def refuse(js, bad, why):
+        """Raise naming the first interval js[k] with bad[k] set, if any."""
+        if bad.any():
+            j = js[np.argmax(bad)]
+            raise IntegrabilityError(f"{why} on [{float(a[j])!r}, {float(b[j])!r}]")
+
     for level in range(_TS_MAX_LEVEL + 1):
         if act.size == 0:
             break
@@ -543,10 +568,8 @@ def _tanh_sinh(fn, owner, a, b, cfg):
             # integrable endpoint singularities decay doubly exponentially
             # in the transformed variable; mass left in the outermost band
             # means the integral diverges (e.g. logarithmically)
-            if np.any(has & (outer > np.maximum(1e-7, 1e-5 * np.abs(contrib)))):
-                raise IntegrabilityError(
-                    "endpoint singularity too strong: integrability not certified"
-                )
+            refuse(act, has & (outer > np.maximum(1e-7, 1e-5 * np.abs(contrib))),
+                   "endpoint singularity too strong: integrability not certified")
             est = contrib
         else:
             est = 0.5 * total[act] + contrib
@@ -560,14 +583,10 @@ def _tanh_sinh(fn, owner, a, b, cfg):
         delta = np.abs(est - last3[upd, 1])
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(est))
         fin = (delta <= tol) & (level >= 3)
-        if level >= 6 and np.any(
-            ~fin
-            & (delta > 4.0 * prev_delta[upd])
-            & (np.abs(est) > 10.0 * np.maximum(1.0, np.abs(first[upd])))
-        ):
-            raise IntegrabilityError(
-                "tanh-sinh refinement diverges: non-integrable singularity"
-            )
+        if level >= 6:
+            refuse(upd, ~fin & (delta > 4.0 * prev_delta[upd])
+                   & (np.abs(est) > 10.0 * np.maximum(1.0, np.abs(first[upd]))),
+                   "tanh-sinh refinement diverges: non-integrable singularity")
         value[upd[fin]] = est[fin]
         err[upd[fin]] = delta[fin]
         prev_delta[upd] = delta
@@ -577,11 +596,9 @@ def _tanh_sinh(fn, owner, a, b, cfg):
     # the rest did not converge: divergence heuristics
     rest = act
     steps = np.abs(np.diff(last3[rest], axis=1))
-    if np.any((count[rest] >= 4) & (steps[:, 1] >= steps[:, 0])
-              & (np.abs(last3[rest, 2]) > 1e6)):
-        raise IntegrabilityError(
-            "tanh-sinh estimates grow without bound: non-integrable singularity"
-        )
+    refuse(rest, (count[rest] >= 4) & (steps[:, 1] >= steps[:, 0])
+           & (np.abs(last3[rest, 2]) > 1e6),
+           "tanh-sinh estimates grow without bound: non-integrable singularity")
     value[rest] = total[rest]
     err[rest] = np.where(count[rest] > 1, np.abs(total[rest] - last3[rest, 1]), np.inf)
     conv[rest] = False
@@ -919,6 +936,8 @@ def angle_integral(F, weight, xs, ys, cfg=None):
     support, the cuts c + _CENTRE_STEPS around each decay centre (0 among
     them for a gaussian or exponential tag) become split points.  The GK
     pieces of one integral meet its tolerance together (see _adaptive_gk).
+    Without singular points, each owner is that one interval, and its
+    result is the pool's own.
 
     A singular point c of F cannot be approached closely in theta, whose
     rounding near arctan((x - c)/y) is y sec^2 times coarser in t, so its
@@ -928,8 +947,12 @@ def angle_integral(F, weight, xs, ys, cfg=None):
     ``weight`` takes arrays of theta and of each one's y.
     """
     cfg = cfg or DEFAULT_CONFIG
-    xs, ys = (a.ravel() for a in np.broadcast_arrays(np.asarray(xs, dtype=float),
-                                                      np.asarray(ys, dtype=float)))
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if ys.ndim == 0:
+        ys = np.full(xs.shape, ys)
+    elif xs.shape != ys.shape:
+        xs, ys = np.broadcast_arrays(xs, ys)
+    xs, ys = xs.ravel(), ys.ravel()
     n = xs.size
     every = np.arange(n)
     sa, sb = F.support if F.support is not None else (-math.inf, math.inf)
@@ -941,23 +964,23 @@ def angle_integral(F, weight, xs, ys, cfg=None):
 
     fam = _Family(fn, np.zeros((n, 0)), np.arctan(_rows(cuts, n, xs) / ys[:, None]),
                   None, None, F.decay)
+    if not F.singularities:
+        # one interval per owner: F's support, or the line, in theta
+        return _integrate(fam, every, np.arctan((xs - sb) / ys), np.arctan((xs - sa) / ys),
+                          cfg, group=every)
     # the line less the neighbourhoods of the singular points: intervals
     # [lo_t, hi_t] in t, one row per owner
     sing = np.array(sorted(F.singularities), dtype=float)
-    h = np.zeros((n, sing.size))
-    if sing.size:
-        feats = F.feature_points()
-        gap = np.array([min([abs(c - p) for p in feats if p != c], default=math.inf)
-                        for c in sing])
-        h = np.minimum(ys[:, None], np.minimum(1.0, 0.25 * gap))
+    feats = F.feature_points()
+    gap = np.array([min([abs(c - p) for p in feats if p != c], default=math.inf)
+                    for c in sing])
+    h = np.minimum(ys[:, None], np.minimum(1.0, 0.25 * gap))
     lo_t = np.clip(np.concatenate([np.full((n, 1), sa), sing + h], axis=1), sa, sb)
     hi_t = np.clip(np.concatenate([sing - h, np.full((n, 1), sb)], axis=1), lo_t, sb)
     owner = np.repeat(every, sing.size + 1)
     x, y = xs[owner], ys[owner]
     res = _integrate(fam, owner, np.arctan((x - hi_t.ravel()) / y),
                      np.arctan((x - lo_t.ravel()) / y), cfg, group=owner).owners(owner, n)
-    if not sing.size:
-        return res
 
     def near(owner, ts):
         s, y = xs[owner] - ts, ys[owner]
@@ -1002,7 +1025,9 @@ class FamilyValues:
         self.layer = layer
         self.max_err = 0.0
 
-    def __call__(self, xs):
+    def results(self, xs):
+        """The FamilyResult of the integrals at ``xs``, each point's value
+        with its own err_est; raises as a call does."""
         xs = np.asarray(xs, dtype=float)
         res = self.integrals(xs)
         if not res.converged.all():
@@ -1013,7 +1038,11 @@ class FamilyValues:
             )
         if res.err_est.size:
             self.max_err = max(self.max_err, float(res.err_est.max()))
-        return res.value.reshape(xs.shape)
+        return res
+
+    def __call__(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        return self.results(xs).value.reshape(xs.shape)
 
     def at(self, x):
         """The value at one point."""

@@ -115,6 +115,17 @@ class TestExitCodes:
         assert code == 0
         assert rows(report)["norm"] == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("p", ["2", "1.5"])
+    def test_norm_at_quadratic_poles_names_the_interval(self, p):
+        # the poles +-1 of x/(x^2-1) are singular points: the tanh-sinh rule
+        # next to them refuses, naming a piece that ends at one of them
+        report, code = run("norm", "--p", p, "--f", "x/(x^2-1)")
+        assert code == 1
+        message = rows(report)["error"]
+        assert message.startswith("IntegrabilityError: ") and "non-integrable" in message
+        lo, hi = map(float, message.split(" on [")[1].rstrip("]").split(", "))
+        assert {lo, hi} & {-1.0, 1.0}
+
     def test_verify_suite_passes(self):
         report, code = run("verify", "--suite", "star-algebra")
         assert code == 0
@@ -220,6 +231,20 @@ class TestSubcommands:
         [(label, value, err)] = report.outputs
         assert label == "u(0.3,0.5)"
         assert 0.0 < err <= 1e-8
+
+    @pytest.mark.parametrize("F, n, xs", [("exp(-x^2)", 1, "-1,0.3,2.5"),
+                                          ("indicator(-1,1)", 2, "0.3,-0.95,1,4"),
+                                          ("sing(abs(x)^(-0.5), 0)*exp(-abs(x))", 0, "0,0.2")])
+    def test_poisson_rows_equal_the_one_point_rows(self, F, n, xs):
+        # the whole --x list is one angle family; each row keeps its own
+        # point's value and err_est, as a call with that point alone gives
+        argv = ["poisson", "--F", F, "--y", "0.05", "--n", str(n)]
+        report, code = run(*argv, f"--x={xs}")
+        assert code == 0
+        assert len(report.outputs) == len(xs.split(","))
+        for row, x in zip(report.outputs, xs.split(",")):
+            one, code = run(*argv, f"--x={x}")
+            assert code == 0 and one.outputs == [row]
 
     def test_poisson_converge_err_est_is_the_sampling_error(self):
         report, code = run("poisson-converge", "--F", "indicator(0,1)", "--p", "1",

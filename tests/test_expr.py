@@ -284,6 +284,18 @@ METADATA_TABLE = [
     # growth 1 over growth 2: decays like |x|^(-1)
     ('parse:x/(x^2+1)', lambda: P('x/(x^2+1)'),
      (), (), None, ('power', 1.0)),
+    # a quadratic denominator names its real roots, and one with none
+    # (x/(x^2+1) above) names nothing
+    ('parse:x/(x^2-1)', lambda: P('x/(x^2-1)'),
+     (-1.0, 1.0), (), None, ('power', 1.0)),
+    ('parse:1/(2x^2-3x+1)', lambda: P('1/(2*x^2-3*x+1)'),
+     (0.5, 1.0), (), None, ('power', 2.0)),
+    ('parse:1/(x-1)^2', lambda: P('1/(x^2-2*x+1)'),
+     (1.0,), (), None, ('power', 2.0)),
+    ('parse:(x*x)^(-1)', lambda: P('(x*x)^(-1)'),
+     (0.0,), (), None, ('power', 2.0)),
+    ('parse:abs(x^2-1)', lambda: P('abs(x^2-1)'),
+     (), (-1.0, 1.0), None, ('none',)),
     ('parse:box/x', lambda: P('indicator(1,2)/x'),
      (0.0,), (1.0, 2.0), None, ('compact',)),
     ('parse:(x+2)^(-1)', lambda: P('(x+2)^(-1)'),

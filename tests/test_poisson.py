@@ -274,6 +274,26 @@ class TestAngleRule:
                                 HalfPlanePoint(x, y))
                     assert 0 < count[0] <= most, (n, y, x, count[0])
 
+    @pytest.mark.parametrize("src, n", [("indicator(-1,1)", 2), ("exp(-x^2)", 0)])
+    def test_two_rounds_near_the_boundary(self, monkeypatch, src, n):
+        # a lone refining panel cuts in four: these points take 3 rounds
+        # of GK panels when it bisects
+        import lprim.quadrature as quadrature
+
+        rounds, panels = [], quadrature._gk_panels
+
+        def counted(*args):
+            rounds.append(args[2].size)
+            return panels(*args)
+
+        monkeypatch.setattr(quadrature, "_gk_panels", counted)
+        F = parse_expr(src)
+        got = extension_n(NthDistribution(F, 2.0, n, norm=1.0) if n else F,
+                          HalfPlanePoint(0.3, 0.05))
+        closed = _box_closed if src.startswith("indicator") else _gauss_closed
+        assert got == pytest.approx(closed(0.3, 0.05, n), rel=1e-8, abs=1e-9)
+        assert len(rounds) <= 2, rounds
+
     def test_no_kernel_and_no_line_integral(self, monkeypatch):
         import lprim.poisson as poisson
         import lprim.quadrature as quadrature

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -510,6 +511,12 @@ class TestTanhSinh:
             integrate(parse_expr("sing(1/abs(x), 0)"), -1.0, 1.0)
         assert compared == [None]
 
+    @pytest.mark.parametrize("a, b, piece", [(-1.0, 1.0, "[-1.0, 0.0]"),
+                                             (0.0, 2.0, "[0.0, 2.0]")])
+    def test_refusal_names_the_interval(self, a, b, piece):
+        with pytest.raises(IntegrabilityError, match=re.escape(f"certified on {piece}")):
+            integrate(parse_expr("sing(1/abs(x), 0)"), a, b)
+
     def test_convergence_at_level_three_takes_one_call(self):
         calls = []
 
@@ -606,6 +613,57 @@ class TestFamilies:
                 part = run(xs[start:start + size])
                 np.testing.assert_array_equal(part.value, full.value[start:start + size])
                 np.testing.assert_array_equal(part.err_est, full.err_est[start:start + size])
+
+    def test_lone_splits_and_many_splits_in_one_batch(self, monkeypatch):
+        # owners 0-2 need one panel split a round, which cuts it in four;
+        # owners 3-5 need many, which bisect: both kinds share the third
+        # round, and each owner's value is still the one it gets alone
+        cs = np.array([0.3, 0.37, 0.61, 0.0, 0.0, 0.0])
+        ks = np.array([0.0, 0.0, 0.0, 30.0, 40.0, 55.0])
+
+        def fn(j, t):
+            return np.where(ks[j] > 0, np.sin(ks[j] * t), np.abs(t - cs[j]) ** 1.5)
+
+        widths, panels = [], quadrature._gk_panels
+
+        def recorded(fn, owner, lo, hi, rounding):
+            widths.append({int(j): set((hi - lo)[owner == j]) for j in set(owner.tolist())})
+            return panels(fn, owner, lo, hi, rounding)
+
+        def run(owners, group):
+            n = owners.size
+            return quadrature._adaptive_gk(lambda j, t: fn(owners[j], t), np.arange(n),
+                                           np.zeros(n), np.ones(n), DEFAULT_CONFIG,
+                                           np.arange(n) if group else None)
+
+        every = np.arange(6)
+        monkeypatch.setattr(quadrature, "_gk_panels", recorded)
+        run(every, False)
+        monkeypatch.setattr(quadrature, "_gk_panels", panels)
+        assert [widths[2][j] for j in every] == [{0.0625}] * 3 + [{0.125}] * 3
+        for group in (False, True):
+            full = run(every, group)
+            for size in range(1, 7):
+                for start in range(7 - size):
+                    part = run(every[start:start + size], group)
+                    np.testing.assert_array_equal(part.value, full.value[start:start + size])
+                    np.testing.assert_array_equal(part.err_est,
+                                                  full.err_est[start:start + size])
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_splits_stay_within_max_depth(self, monkeypatch, depth):
+        # a lone panel cuts in four only while two more levels are allowed:
+        # one level above max_depth it bisects
+        widths, panels = [], quadrature._gk_panels
+
+        def recorded(fn, owner, lo, hi, rounding):
+            widths.extend(hi - lo)
+            return panels(fn, owner, lo, hi, rounding)
+
+        monkeypatch.setattr(quadrature, "_gk_panels", recorded)
+        quadrature._adaptive_gk(lambda j, t: np.abs(t - 0.3) ** 0.5, np.zeros(1, int),
+                                np.zeros(1), np.ones(1), QuadConfig(max_depth=depth))
+        assert min(widths) == 2.0 ** -depth
 
 
 class TestSpecialFunctions:

@@ -1,7 +1,7 @@
 """Alternating benchmark pairs: a parent commit against the working tree.
 
-    python3 tools/bench_pairs.py --out BENCH_24.json --parent 10ac868 \\
-        --workloads fourier,duality,convolution,halfplane --first-seed 2401 --traced-seed 4
+    python3 tools/bench_pairs.py --out BENCH_25.json --parent e08cdf9 \\
+        --workloads halfplane,duality,convolution,fourier --first-seed 2501 --traced-seed 4
 
 Run from the root of a checkout.  The parent commit (``--parent``) is
 exported with ``git archive`` into a temporary directory; the change is
@@ -16,8 +16,8 @@ end-to-end metric of BENCHMARK.json: both sides' medians and quartiles
 and the pairs the change won.  With ``--traced-seed`` each side also
 makes one 4 s ``--trace 1`` run per workload, whose per-layer metrics
 are kept, and ``tools/count_work.py`` counts each side's sign-change
-searches and Filon-Legendre sampling rounds over one warm pass of that
-seed.  The file is rewritten after every pair.
+searches, Filon-Legendre sampling rounds and GK pools, rounds and panels
+over one warm pass of that seed.  The file is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -153,8 +153,10 @@ def main(argv=None):
             doc[f"counts_seed{args.traced_seed}"] = {
                 "description": "tools/count_work.py: one warm in-process pass over "
                                "each stream with counting wrappers on "
-                               "quadrature.find_sign_changes, quadrature._fl_eval and "
-                               "quadrature._filon_sum",
+                               "quadrature.find_sign_changes, quadrature._fl_eval, "
+                               "quadrature._filon_sum, quadrature._adaptive_gk and "
+                               "quadrature._gk_panels, and on FunctionExpr.values "
+                               "(pass_points)",
                 **{side: counts(tree, args.traced_seed) for side, tree in trees.items()}}
         for k in range(PAIRS):
             order = workloads if k % 2 == 0 else workloads[::-1]
